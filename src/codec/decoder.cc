@@ -147,6 +147,9 @@ class StreamDecoder
         VT_ASSERT(static_cast<int>(refs0_.size()) == num_ref,
                   "reference list drift: stream says ", num_ref,
                   " refs, DPB has ", refs0_.size());
+        // Skip MBs predict from refs0_[0] without coding an index.
+        VT_ASSERT(type == FrameType::I || num_ref > 0,
+                  "corrupt frame header: inter frame without references");
 
         auto recon = std::make_unique<Frame>(width, height);
         mb_state_.assign(static_cast<size_t>(mb_w_) * mb_h_, MbState{});
@@ -173,6 +176,17 @@ class StreamDecoder
             }
         }
         return {display, std::move(recon)};
+    }
+
+    /** Reads a list-0 reference index, which must name a reference of
+     *  the current frame: it indexes refs0_ directly. */
+    int
+    parseRef0()
+    {
+        const uint32_t ref = br_.getUe();
+        VT_ASSERT(ref < refs0_.size(), "corrupt reference index ", ref,
+                  " (frame has ", refs0_.size(), " refs)");
+        return static_cast<int>(ref);
     }
 
     // ---- Residual parsing ------------------------------------------------
@@ -369,7 +383,7 @@ class StreamDecoder
                 dir = static_cast<BDir>(br_.getUe());
             }
             if (dir == BDir::Fwd || dir == BDir::Bi) {
-                ref0 = static_cast<int>(br_.getUe());
+                ref0 = parseRef0();
                 mv0.x = static_cast<int16_t>(pred0.x + br_.getSe());
                 mv0.y = static_cast<int16_t>(pred0.y + br_.getSe());
             }
@@ -385,7 +399,7 @@ class StreamDecoder
                 dir = static_cast<BDir>(br_.getUe());
             }
             for (int p = 0; p < 4; ++p) {
-                ref8[p] = static_cast<int>(br_.getUe());
+                ref8[p] = parseRef0();
                 mv8[p].x = static_cast<int16_t>(pred0.x + br_.getSe());
                 mv8[p].y = static_cast<int16_t>(pred0.y + br_.getSe());
             }

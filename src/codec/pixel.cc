@@ -117,10 +117,10 @@ sadBlock(const Frame& cur, int cx, int cy, const Frame& ref, int rx, int ry,
             }
         }
         if (interior) {
-            sad += ops.sad_rows(cur_row + y0 * cur.stride(Plane::Y),
-                                cur.stride(Plane::Y),
-                                ref_row + y0 * ref.stride(Plane::Y),
-                                ref.stride(Plane::Y), w, chunk);
+            sad += ops.sadRows(cur_row + y0 * cur.stride(Plane::Y),
+                               cur.stride(Plane::Y),
+                               ref_row + y0 * ref.stride(Plane::Y),
+                               ref.stride(Plane::Y), w, chunk);
         } else {
             // Edge-clamped fallback: identical math to the scalar kernel
             // with refPixel() supplying the clamped reads.
@@ -163,7 +163,7 @@ sadSubpel(const Frame& cur, int cx, int cy, const Frame& ref, int mvx,
     // interpolate into a stack tile first (both via the strategy kernels).
     const bool fullpel = fx == 0 && fy == 0;
     const bool vectorizable =
-        w <= 16
+        kernelBlockShape(w, 4)
         && (fullpel ? fullpelInterior(ref, xi0, yi0, w, h)
                     : subpelInterior(ref, xi0, yi0, w, h));
     const uint8_t* ref_row =
@@ -196,14 +196,14 @@ sadSubpel(const Frame& cur, int cx, int cy, const Frame& ref, int mvx,
             }
         }
         if (vectorizable && fullpel) {
-            sad += ops.sad_rows(cur_row + y0 * cstride, cstride,
-                                ref_row + y0 * rstride, rstride, w, 4);
+            sad += ops.sadRows(cur_row + y0 * cstride, cstride,
+                               ref_row + y0 * rstride, rstride, w, 4);
         } else if (vectorizable) {
             uint8_t tile[16 * 4];
-            ops.mc_bilinear(tile, w, ref_row + y0 * rstride, rstride, w, 4,
-                            fx, fy);
-            sad += ops.sad_rows(cur_row + y0 * cstride, cstride, tile, w, w,
-                                4);
+            ops.mcBilinear(tile, w, ref_row + y0 * rstride, rstride, w, 4,
+                           fx, fy);
+            sad += ops.sadRows(cur_row + y0 * cstride, cstride, tile, w, w,
+                               4);
         } else {
             for (int dy = 0; dy < 4; ++dy) {
                 const int y = y0 + dy;
@@ -308,10 +308,11 @@ mcLumaBlock(uint8_t* dst, int dstride, const Frame& ref, int cx, int cy,
     const uint8_t* src =
         ref.data(Plane::Y) + static_cast<ptrdiff_t>(yi0) * sstride + xi0;
     const KernelOps& ops = kernels();
-    if (!subpel && fullpelInterior(ref, xi0, yi0, w, h)) {
-        ops.mc_copy(dst, dstride, src, sstride, w, h);
-    } else if (subpel && subpelInterior(ref, xi0, yi0, w, h)) {
-        ops.mc_bilinear(dst, dstride, src, sstride, w, h, bx4 & 3, by4 & 3);
+    const bool shape_ok = kernelBlockShape(w, h);
+    if (shape_ok && !subpel && fullpelInterior(ref, xi0, yi0, w, h)) {
+        ops.mcCopy(dst, dstride, src, sstride, w, h);
+    } else if (shape_ok && subpel && subpelInterior(ref, xi0, yi0, w, h)) {
+        ops.mcBilinear(dst, dstride, src, sstride, w, h, bx4 & 3, by4 & 3);
     } else {
         for (int y = 0; y < h; ++y) {
             for (int x = 0; x < w; ++x) {
@@ -353,10 +354,10 @@ mcChromaBlock(uint8_t* dst, int dstride, const Frame& ref, Plane plane,
     // Chroma always evaluates the 4-tap bilinear form (no full-pel
     // shortcut), so the interior window needs the +1 column and row even
     // at zero fractions.
-    if (xi0 >= 0 && yi0 >= 0 && xi0 + w < ref.chromaWidth()
-        && yi0 + h < ref.chromaHeight()) {
+    if (kernelBlockShape(w, h) && xi0 >= 0 && yi0 >= 0
+        && xi0 + w < ref.chromaWidth() && yi0 + h < ref.chromaHeight()) {
         const int sstride = ref.stride(plane);
-        kernels().mc_bilinear(
+        kernels().mcBilinear(
             dst, dstride,
             ref.data(plane) + static_cast<ptrdiff_t>(yi0) * sstride + xi0,
             sstride, w, h, bx4 & 3, by4 & 3);

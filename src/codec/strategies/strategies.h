@@ -33,7 +33,18 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace vtrans::codec {
+
+/** The block shapes sad_rows, mc_copy and mc_bilinear accept: widths 4,
+ *  8 and 16 (the vector backends move whole 4-, 8- or 16-byte rows) and
+ *  1 to 16 rows. Callers route other shapes to their scalar loops. */
+constexpr bool
+kernelBlockShape(int w, int h)
+{
+    return (w == 4 || w == 8 || w == 16) && h >= 1 && h <= 16;
+}
 
 /**
  * One backend's kernel implementations. All functions operate on raw
@@ -95,6 +106,32 @@ struct KernelOps
     /** Rounded average of two length-n buffers ((a+b+1)>>1). */
     void (*average)(uint8_t* dst, const uint8_t* a, const uint8_t* b,
                     int n);
+
+    // The codec calls the block-shaped ops through these checked entry
+    // points, which assert kernelBlockShape.
+    int
+    sadRows(const uint8_t* cur, int cstride, const uint8_t* ref, int rstride,
+            int w, int rows) const
+    {
+        VT_ASSERT(kernelBlockShape(w, rows), "sad_rows shape ", w, "x", rows);
+        return sad_rows(cur, cstride, ref, rstride, w, rows);
+    }
+
+    void
+    mcCopy(uint8_t* dst, int dstride, const uint8_t* src, int sstride, int w,
+           int h) const
+    {
+        VT_ASSERT(kernelBlockShape(w, h), "mc_copy shape ", w, "x", h);
+        mc_copy(dst, dstride, src, sstride, w, h);
+    }
+
+    void
+    mcBilinear(uint8_t* dst, int dstride, const uint8_t* src, int sstride,
+               int w, int h, int fx, int fy) const
+    {
+        VT_ASSERT(kernelBlockShape(w, h), "mc_bilinear shape ", w, "x", h);
+        mc_bilinear(dst, dstride, src, sstride, w, h, fx, fy);
+    }
 };
 
 /** The scalar reference table (always available; the exactness oracle). */

@@ -216,7 +216,7 @@ SiteRegistry::define(std::string name, uint32_t bytes, uint32_t instructions,
 {
     VT_ASSERT(bytes > 0, "code site must have non-zero size: ", name);
     std::lock_guard<std::mutex> lock(mu_);
-    auto* site = new CodeSite;
+    CodeSite* site = &storage_.emplace_back();
     site->id = static_cast<uint32_t>(sites_.size());
     site->name = std::move(name);
     site->bytes = bytes * kCodeScale;

@@ -38,6 +38,7 @@
  */
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -224,7 +225,10 @@ class SiteRegistry
 
   private:
     std::mutex mu_; ///< Guards registration and layout reset.
-    std::vector<CodeSite*> sites_;
+    /// Owns the sites. A deque never moves its elements on growth, so
+    /// the addresses that VT_SITE statics and sinks hold stay valid.
+    std::deque<CodeSite> storage_;
+    std::vector<CodeSite*> sites_; ///< Index by id into storage_.
     uint64_t next_address_ = kTextBase;
 };
 

@@ -152,9 +152,9 @@ CoreModel::CoreModel(const CoreParams& params)
       predictor_(makePredictor(params.predictor)),
       btb_(),
       // Window rings hold at most one coalesced entry per occupant, so
-      // reserving the modelled structure size up front means steady-state
-      // pushes never reallocate — even with the fast-forward path's lazy
-      // draining, occupancy (and thus entry count) stays bounded by the
+      // reserving the modelled structure size up front means pushes never
+      // reallocate: even with lazy draining, occupancy (stale entries
+      // included, and thus the entry count) stays bounded by the
       // structure size via ensure*Space().
       rob_(static_cast<size_t>(std::max(params.rob_size, 1))),
       rs_(static_cast<size_t>(std::max(params.rs_size, 1))),
@@ -278,19 +278,15 @@ CoreModel::dispatch(uint32_t count)
     //     entry expired at cycle T is still expired at every later cycle;
     //     nothing in dispatch reads window occupancy, and every consumer
     //     of occupancy (ensure*Space, which also charges the stalls)
-    //     drains before deciding. So the stepped loop's per-rollover
-    //     drains commute past the whole span, and one drain at the end
-    //     frees the same entries with the same counters.
+    //     pops expired heads before deciding. So the stepped loop's
+    //     per-rollover drains commute past the whole span — and past
+    //     every later event up to the next occupancy check, so none is
+    //     needed here at all.
     //
     // What remains is pure arithmetic on (cur_cycle_, slots_in_cycle_,
     // slots_retiring, instructions): advance it in closed form.
-    if (reference_stepping_) {
-        referenceDispatch(count);
-        return;
-    }
     if (fetch_ready_ > cur_cycle_) {
         advanceTo(fetch_ready_, fetch_reason_);
-        drain();
     }
     const uint32_t width = static_cast<uint32_t>(params_.width);
     const uint64_t slots0 = slots_in_cycle_;
@@ -317,9 +313,6 @@ CoreModel::dispatch(uint32_t count)
         stats_.instructions += count;
         cur_cycle_ += rolled;
         slots_in_cycle_ = rem;
-        if (rolled > 0) {
-            drain();
-        }
         return;
     }
     // Instrumented path. The attribution bucket cannot change inside
@@ -356,9 +349,6 @@ CoreModel::dispatch(uint32_t count)
     if (attr_cur_ != nullptr) {
         attr_cur_->slots_retiring += count;
         attr_cur_->cycles += rolled;
-    }
-    if (rolled > 0) {
-        drain();
     }
 }
 
@@ -414,29 +404,66 @@ CoreModel::referenceDispatch(uint32_t count)
 }
 
 void
-CoreModel::ensureRobSpace(uint32_t count)
+CoreModel::waitForSpace(const RingBuffer<WindowEntry>& window,
+                        const uint64_t& occupancy, uint64_t size,
+                        uint32_t count, bool memory_cause,
+                        uint64_t& stall_slots)
 {
-    while (rob_count_ + count > static_cast<uint64_t>(params_.rob_size)) {
-        VT_ASSERT(!rob_.empty(), "ROB accounting broke");
-        const WindowEntry& head = rob_.front();
+    // Expired heads pop without a stall; drain() also pops the other
+    // windows' expired heads, as the eager drains once did.
+    while (occupancy + count > size) {
+        VT_ASSERT(!window.empty(), "window accounting broke");
+        const WindowEntry& head = window.front();
         if (head.time > cur_cycle_) {
             const uint64_t before =
                 stats_.slots_backend_memory + stats_.slots_backend_core;
-            advanceTo(head.time, head.is_mem ? StallCause::BackendMemory
-                                             : StallCause::BackendCore);
-            stats_.slots_rob_stall +=
-                stats_.slots_backend_memory + stats_.slots_backend_core
-                - before;
+            advanceTo(head.time, memory_cause && head.is_mem
+                                     ? StallCause::BackendMemory
+                                     : StallCause::BackendCore);
+            stall_slots += stats_.slots_backend_memory
+                           + stats_.slots_backend_core - before;
         }
         drain();
     }
 }
 
-void
+inline void
+CoreModel::ensureRobSpace(uint32_t count)
+{
+    if (rob_count_ + count > static_cast<uint64_t>(params_.rob_size)) {
+        waitForSpace(rob_, rob_count_, params_.rob_size, count, true,
+                     stats_.slots_rob_stall);
+    }
+}
+
+inline void
+CoreModel::ensureRsSpace(uint32_t count)
+{
+    // With issue_at_dispatch rsPush() keeps the RS empty, and no caller
+    // asks for more than rs_size entries, so this never stalls.
+    if (rs_count_ + count > static_cast<uint64_t>(params_.rs_size)) {
+        waitForSpace(rs_, rs_count_, params_.rs_size, count, true,
+                     stats_.slots_rs_stall);
+    }
+}
+
+inline void
+CoreModel::ensureSbSpace(uint32_t count)
+{
+    // The paper groups store-buffer stalls under core bound (Fig 5e-h
+    // discussion), so a full SB never stalls as backend-memory.
+    if (sb_count_ + count > static_cast<uint64_t>(params_.sb_size)) {
+        waitForSpace(sb_, sb_count_, params_.sb_size, count, false,
+                     stats_.slots_sb_stall);
+    }
+}
+
+inline void
 CoreModel::robPush(uint64_t complete, uint32_t count, bool is_mem)
 {
     // In-order retirement: completion times are made monotone so an entry
-    // cannot retire before its predecessors.
+    // cannot retire before its predecessors. The new time is after
+    // cur_cycle_, so it never coalesces into an expired entry.
     complete = std::max(complete, rob_last_complete_);
     rob_last_complete_ = complete;
     if (!rob_.empty() && rob_.back().time == complete
@@ -448,29 +475,7 @@ CoreModel::robPush(uint64_t complete, uint32_t count, bool is_mem)
     rob_count_ += count;
 }
 
-void
-CoreModel::ensureRsSpace(uint32_t count)
-{
-    if (params_.issue_at_dispatch) {
-        return;
-    }
-    while (rs_count_ + count > static_cast<uint64_t>(params_.rs_size)) {
-        VT_ASSERT(!rs_.empty(), "RS accounting broke");
-        const WindowEntry& head = rs_.front();
-        if (head.time > cur_cycle_) {
-            const uint64_t before =
-                stats_.slots_backend_memory + stats_.slots_backend_core;
-            advanceTo(head.time, head.is_mem ? StallCause::BackendMemory
-                                             : StallCause::BackendCore);
-            stats_.slots_rs_stall +=
-                stats_.slots_backend_memory + stats_.slots_backend_core
-                - before;
-        }
-        drain();
-    }
-}
-
-void
+inline void
 CoreModel::rsPush(uint64_t free, uint32_t count, bool is_mem)
 {
     if (params_.issue_at_dispatch) {
@@ -487,27 +492,7 @@ CoreModel::rsPush(uint64_t free, uint32_t count, bool is_mem)
     rs_count_ += count;
 }
 
-void
-CoreModel::ensureSbSpace(uint32_t count)
-{
-    while (sb_count_ + count > static_cast<uint64_t>(params_.sb_size)) {
-        VT_ASSERT(!sb_.empty(), "SB accounting broke");
-        const WindowEntry& head = sb_.front();
-        if (head.time > cur_cycle_) {
-            const uint64_t before =
-                stats_.slots_backend_memory + stats_.slots_backend_core;
-            // The paper groups store-buffer stalls under core bound
-            // (Fig 5e-h discussion).
-            advanceTo(head.time, StallCause::BackendCore);
-            stats_.slots_sb_stall +=
-                stats_.slots_backend_memory + stats_.slots_backend_core
-                - before;
-        }
-        drain();
-    }
-}
-
-void
+inline void
 CoreModel::sbPush(uint64_t drain_time, uint32_t count)
 {
     // Stores drain in order: drain times are made monotone like ROB
@@ -522,8 +507,16 @@ CoreModel::sbPush(uint64_t drain_time, uint32_t count)
     sb_count_ += count;
 }
 
-void
+inline void
 CoreModel::resolveFrontend()
+{
+    if (fetch_ready_ > cur_cycle_) {
+        advanceTo(fetch_ready_, fetch_reason_);
+    }
+}
+
+void
+CoreModel::referenceResolveFrontend()
 {
     if (fetch_ready_ > cur_cycle_) {
         advanceTo(fetch_ready_, fetch_reason_);
@@ -564,13 +557,9 @@ CoreModel::rebuildPlan(SiteFetchPlan& plan, const trace::CodeSite& site)
     }
 }
 
-void
-CoreModel::onBlock(const trace::CodeSite& site)
+inline void
+CoreModel::modelBlock(const trace::CodeSite& site)
 {
-    if (reference_stepping_) {
-        referenceOnBlock(site);
-        return;
-    }
     if (attr_cur_ != nullptr) {
         attr_cur_ = &attrAt(site.id);
     }
@@ -697,7 +686,7 @@ CoreModel::referenceOnBlock(const trace::CodeSite& site)
         std::min(params_.rob_size, params_.rs_size));
     while (remaining > 0) {
         const uint32_t chunk = std::min(remaining, max_chunk);
-        resolveFrontend();
+        referenceResolveFrontend();
         ensureRobSpace(chunk);
         ensureRsSpace(chunk);
         uint64_t issue = cur_cycle_ + 1;
@@ -706,18 +695,14 @@ CoreModel::referenceOnBlock(const trace::CodeSite& site)
         }
         robPush(issue, chunk, load_dep);
         rsPush(std::min(issue, cur_cycle_ + 15), chunk, load_dep);
-        dispatch(chunk);
+        referenceDispatch(chunk);
         remaining -= chunk;
     }
 }
 
-void
-CoreModel::onBranch(const trace::CodeSite& site, bool taken)
+inline void
+CoreModel::modelBranch(const trace::CodeSite& site, bool taken)
 {
-    if (reference_stepping_) {
-        referenceOnBranch(site, taken);
-        return;
-    }
     if (attr_cur_ != nullptr) {
         attr_cur_ = &attrAt(site.id);
         ++attr_cur_->branches;
@@ -787,7 +772,7 @@ CoreModel::referenceOnBranch(const trace::CodeSite& site, bool taken)
     const bool predicted = predictor_->predict(site.address);
     predictor_->update(site.address, taken);
 
-    resolveFrontend();
+    referenceResolveFrontend();
     ensureRobSpace(1);
     ensureRsSpace(1);
 
@@ -799,7 +784,7 @@ CoreModel::referenceOnBranch(const trace::CodeSite& site, bool taken)
     robPush(resolve, 1, false);
     rsPush(std::min(resolve, cur_cycle_ + 15), 1,
            site.kind == trace::SiteKind::BranchLoadDep);
-    dispatch(1);
+    referenceDispatch(1);
 
     if (predicted != taken) {
         ++stats_.branch_mispredicts;
@@ -830,13 +815,9 @@ CoreModel::referenceOnBranch(const trace::CodeSite& site, bool taken)
     }
 }
 
-void
-CoreModel::onLoad(uint64_t addr, uint32_t bytes)
+inline void
+CoreModel::modelLoad(uint64_t addr, uint32_t bytes)
 {
-    if (reference_stepping_) {
-        referenceOnLoad(addr, bytes);
-        return;
-    }
     resolveFrontend();
     ensureRobSpace(1);
     ensureRsSpace(1);
@@ -902,7 +883,7 @@ void
 CoreModel::referenceOnLoad(uint64_t addr, uint32_t bytes)
 {
     // Pre-fast-forward implementation: unconditional MSHR pruning scan.
-    resolveFrontend();
+    referenceResolveFrontend();
     ensureRobSpace(1);
     ensureRsSpace(1);
     const uint32_t line = params_.l1d.line_bytes;
@@ -943,16 +924,12 @@ CoreModel::referenceOnLoad(uint64_t addr, uint32_t bytes)
     last_load_complete_ = complete;
     robPush(complete, 1, true);
     rsPush(cur_cycle_ + std::min(latency, 15), 1, true);
-    dispatch(1);
+    referenceDispatch(1);
 }
 
-void
-CoreModel::onStore(uint64_t addr, uint32_t bytes)
+inline void
+CoreModel::modelStore(uint64_t addr, uint32_t bytes)
 {
-    if (reference_stepping_) {
-        referenceOnStore(addr, bytes);
-        return;
-    }
     resolveFrontend();
     ensureRobSpace(1);
     ensureRsSpace(1);
@@ -997,7 +974,7 @@ CoreModel::referenceOnStore(uint64_t addr, uint32_t bytes)
 {
     // Pre-fast-forward implementation: division-based line math and the
     // store-buffer push open-coded (pre-sbPush).
-    resolveFrontend();
+    referenceResolveFrontend();
     ensureRobSpace(1);
     ensureRsSpace(1);
     ensureSbSpace(1);
@@ -1038,15 +1015,50 @@ CoreModel::referenceOnStore(uint64_t addr, uint32_t bytes)
 
     robPush(cur_cycle_ + 1, 1, false);
     rsPush(cur_cycle_ + 1, 1, false);
-    dispatch(1);
+    referenceDispatch(1);
 }
 
 void
+CoreModel::onBlock(const trace::CodeSite& site)
+{
+    reference_stepping_ ? referenceOnBlock(site) : modelBlock(site);
+}
+
+void
+CoreModel::onBranch(const trace::CodeSite& site, bool taken)
+{
+    reference_stepping_ ? referenceOnBranch(site, taken)
+                        : modelBranch(site, taken);
+}
+
+void
+CoreModel::onLoad(uint64_t addr, uint32_t bytes)
+{
+    reference_stepping_ ? referenceOnLoad(addr, bytes)
+                        : modelLoad(addr, bytes);
+}
+
+void
+CoreModel::onStore(uint64_t addr, uint32_t bytes)
+{
+    reference_stepping_ ? referenceOnStore(addr, bytes)
+                        : modelStore(addr, bytes);
+}
+
+[[gnu::flatten]] void
 CoreModel::onBatch(const trace::ProbeEvent* events, size_t count)
 {
-    // Direct batch consumption: the same member functions handle each
-    // record in emission order (qualified calls — no virtual dispatch),
-    // so the resulting stats are bit-identical to the per-event path.
+    // Direct batch consumption: the records are handled in emission order
+    // by the handlers the per-event entry points run, so the resulting
+    // stats are bit-identical to the per-event path. The path is chosen
+    // once per batch; flatten inlines the production handlers and their
+    // fast paths into this one loop. The reference oracle replays through
+    // the per-event entry points instead (the base-class onBatch, in
+    // another translation unit, so none of it is inlined here).
+    if (reference_stepping_) {
+        ProbeSink::onBatch(events, count);
+        return;
+    }
     // Loop-heavy streams repeat the same site id back to back, so a
     // one-entry cache skips the registry lookup for the repeat case
     // (CodeSite objects are stable once defined).
@@ -1062,17 +1074,17 @@ CoreModel::onBatch(const trace::ProbeEvent* events, size_t count)
                 last_site = &reg.site(e.aux);
                 last_aux = e.aux;
             }
-            CoreModel::onBlock(*last_site);
+            modelBlock(*last_site);
             if (e.kind == trace::ProbeEvent::kBlockBranch) {
-                CoreModel::onBranch(*last_site, (e.flags & 1) != 0);
+                modelBranch(*last_site, (e.flags & 1) != 0);
             }
             break;
         }
         case trace::ProbeEvent::kLoad:
-            CoreModel::onLoad(e.addr, e.aux);
+            modelLoad(e.addr, e.aux);
             break;
         case trace::ProbeEvent::kStore:
-            CoreModel::onStore(e.addr, e.aux);
+            modelStore(e.addr, e.aux);
             break;
         default:
             VT_PANIC("corrupt probe event kind ", static_cast<int>(e.kind));

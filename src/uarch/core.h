@@ -201,9 +201,10 @@ class CoreModel : public trace::ProbeSink
     void onLoad(uint64_t addr, uint32_t bytes) override;
     void onStore(uint64_t addr, uint32_t bytes) override;
 
-    /** Consumes a batch directly (no per-event virtual dispatch); the
-     *  records are handled in order by the same member functions, so the
-     *  resulting CoreStats are bit-identical to the per-event path. */
+    /** Consumes a batch in one loop with no per-event virtual dispatch
+     *  (the test-only reference path replays the per-event virtuals).
+     *  Records are handled in order by the per-event path's handlers, so
+     *  the resulting CoreStats are bit-identical. */
     void onBatch(const trace::ProbeEvent* events, size_t count) override;
 
     /** Finalizes accounting and returns the statistics. */
@@ -275,9 +276,19 @@ class CoreModel : public trace::ProbeSink
      *  that this is bit-exact vs the stepped reference path. */
     void dispatch(uint32_t count);
 
+    /** The production event handlers. The virtual per-event entry points
+     *  and onBatch's fused loop both run these, so there is one
+     *  implementation of each event. */
+    void modelBlock(const trace::CodeSite& site);
+    void modelBranch(const trace::CodeSite& site, bool taken);
+    void modelLoad(uint64_t addr, uint32_t bytes);
+    void modelStore(uint64_t addr, uint32_t bytes);
+
     /** The pre-fast-forward implementations, retained verbatim for the
-     *  differential suite (CoreParams::reference_stepping). */
+     *  differential suite (CoreParams::reference_stepping). They drain
+     *  the windows eagerly, on every cycle the clock reaches. */
     void referenceDispatch(uint32_t count);
+    void referenceResolveFrontend();
     void referenceOnBlock(const trace::CodeSite& site);
     void referenceOnBranch(const trace::CodeSite& site, bool taken);
     void referenceOnLoad(uint64_t addr, uint32_t bytes);
@@ -290,10 +301,27 @@ class CoreModel : public trace::ProbeSink
     /** Stalls dispatch until the frontend has instructions available. */
     void resolveFrontend();
 
-    /** Stalls dispatch until the window has room for `count` entries. */
+    /** Stalls dispatch until the window has room for `count` entries.
+     *  Inline room check; the rare full case runs waitForSpace(). */
     void ensureRobSpace(uint32_t count);
     void ensureRsSpace(uint32_t count);
     void ensureSbSpace(uint32_t count);
+
+    struct WindowEntry
+    {
+        uint64_t time;   ///< Retire/issue/drain cycle.
+        uint32_t count;  ///< Instructions coalesced into this entry.
+        bool is_mem;     ///< Blocking on memory (stall attribution).
+    };
+
+    /** Pops `window`'s expired heads and, while `occupancy + count` still
+     *  exceeds `size`, stalls dispatch to the head's time, charging the
+     *  stall slots to `stall_slots` too. A memory-bound head stalls as
+     *  backend-memory only if `memory_cause` is set. */
+    void waitForSpace(const RingBuffer<WindowEntry>& window,
+                      const uint64_t& occupancy, uint64_t size,
+                      uint32_t count, bool memory_cause,
+                      uint64_t& stall_slots);
 
     /** Pushes `count` instructions completing at `complete` into the ROB
      *  (space must have been ensured). */
@@ -323,13 +351,6 @@ class CoreModel : public trace::ProbeSink
     std::unique_ptr<BranchPredictor> predictor_;
     Btb btb_;
 
-    struct WindowEntry
-    {
-        uint64_t time;   ///< Retire/issue/drain cycle.
-        uint32_t count;  ///< Instructions coalesced into this entry.
-        bool is_mem;     ///< Blocking on memory (stall attribution).
-    };
-
     // Dispatch state.
     uint64_t cur_cycle_ = 0;
     uint32_t slots_in_cycle_ = 0;
@@ -338,9 +359,12 @@ class CoreModel : public trace::ProbeSink
     uint64_t fetch_ready_ = 0;
     StallCause fetch_reason_ = StallCause::Frontend;
 
-    // Window occupancy. Ring buffers instead of deques: coalescing keeps
-    // the entry count far below the modelled structure size, so in steady
-    // state these never allocate (see uarch/ringbuf.h).
+    // Window occupancy. Ring buffers instead of deques: every entry holds
+    // at least one occupant, so the entry count never exceeds the
+    // modelled structure size and these never allocate (see
+    // uarch/ringbuf.h). Expired entries are popped lazily, by the
+    // occupancy consumers (ensure*Space); until then they still count
+    // toward *_count_ (DESIGN.md §13).
     RingBuffer<WindowEntry> rob_;
     RingBuffer<WindowEntry> rs_;
     RingBuffer<WindowEntry> sb_;
@@ -363,8 +387,9 @@ class CoreModel : public trace::ProbeSink
      *  demand like attr_sites_). */
     std::vector<SiteFetchPlan> plans_;
 
-    /** CoreParams::reference_stepping, hoisted (one predictable branch
-     *  at the top of each event handler selects the retained path). */
+    /** CoreParams::reference_stepping, hoisted: one predictable branch
+     *  per event entry point, and one per batch, selects the retained
+     *  path. */
     bool reference_stepping_ = false;
 
     CoreStats stats_;

@@ -11,9 +11,11 @@
 
 #include <tuple>
 
+#include "codec/bitstream.h"
 #include "codec/decoder.h"
 #include "codec/encoder.h"
 #include "codec/params.h"
+#include "codec/syntax.h"
 #include "common/rng.h"
 #include "video/generate.h"
 #include "video/quality.h"
@@ -173,6 +175,97 @@ TEST(DecoderRobustness, RejectsEmptyInput)
 {
     std::vector<uint8_t> empty;
     EXPECT_DEATH(codec::decode(empty), "underrun");
+}
+
+/** Bit offset of the first list-0 reference index in `stream`. Walks the
+ *  VX1 syntax (codec/syntax.h) through a leading I frame to the first
+ *  macroblock of the P frame after it, which must be inter-coded: its
+ *  mode is followed directly by a reference index. */
+uint64_t
+firstRefIndexBit(const std::vector<uint8_t>& stream)
+{
+    codec::BitReader br(stream);
+    EXPECT_EQ(br.getBits(32), codec::kMagic);
+    const uint32_t mbs = br.getUe() * br.getUe();
+    br.getUe(); // fps
+    br.getUe(); // frame_count
+    br.getUe(); // deblock flag
+    br.getSe(); // alpha offset
+    br.getSe(); // beta offset
+    const auto frame_type = [&br] {
+        const uint32_t type = br.getUe();
+        br.getUe(); // display index
+        br.getUe(); // qp
+        br.getUe(); // num_ref
+        return type;
+    };
+    EXPECT_EQ(frame_type(), 0u) << "stream does not start with an I frame";
+    for (uint32_t mb = 0; mb < mbs; ++mb) {
+        const int intra_modes = br.getUe() == 0 ? 1 : 16;
+        for (int i = 0; i < intra_modes; ++i) {
+            br.getUe();
+        }
+        br.getSe(); // qp delta
+        const uint32_t cbp = br.getUe();
+        for (int group = 0; group < 6; ++group) {
+            for (int b = 0; ((cbp >> group) & 1) != 0 && b < 4; ++b) {
+                const uint32_t nnz = br.getUe();
+                for (uint32_t i = 0; i < nnz; ++i) {
+                    br.getUe(); // run
+                    br.getSe(); // level
+                }
+            }
+        }
+    }
+    EXPECT_EQ(frame_type(), 1u) << "second coded frame is not a P frame";
+    const auto mode = static_cast<codec::MbMode>(br.getUe());
+    EXPECT_TRUE(mode == codec::MbMode::Inter16
+                || mode == codec::MbMode::Inter8x8)
+        << "first P macroblock codes no reference index";
+    return br.bitPosition();
+}
+
+/** `bytes` with the low `count` bits of `bits` (MSB first) inserted
+ *  before bit `pos`; later bits shift along, zero-padded at the end. */
+std::vector<uint8_t>
+insertBits(const std::vector<uint8_t>& bytes, uint64_t pos, uint32_t bits,
+           int count)
+{
+    std::vector<uint8_t> out((bytes.size() * 8 + count + 7) / 8, 0);
+    uint64_t o = 0;
+    const auto put = [&](uint32_t bit) {
+        out[o / 8] |= static_cast<uint8_t>(bit << (7 - o % 8));
+        ++o;
+    };
+    for (uint64_t i = 0; i < bytes.size() * 8; ++i) {
+        for (int k = count - 1; i == pos && k >= 0; --k) {
+            put((bits >> k) & 1);
+        }
+        put((bytes[i / 8] >> (7 - i % 8)) & 1);
+    }
+    return out;
+}
+
+TEST(DecoderRobustness, RejectsOutOfRangeReferenceIndex)
+{
+    // A real single-reference stream (no B frames, so the second coded
+    // frame is a P frame) whose first P macroblock then says ref 2:
+    // ue(0) = "1" becomes ue(2) = "011". The decoder must reject the
+    // index while parsing rather than read past its reference list.
+    const VideoSpec s = spec(2.0, 2);
+    const auto frames = video::generateVideo(s);
+    EncoderParams p = codec::presetParams("ultrafast");
+    p.refs = 1;
+    p.bframes = 0;
+    Encoder enc(p, s.fps);
+    const auto stream = enc.encode(frames);
+    ASSERT_EQ(codec::decode(stream).frames.size(), frames.size());
+
+    const uint64_t pos = firstRefIndexBit(stream);
+    ASSERT_FALSE(::testing::Test::HasFailure());
+    ASSERT_EQ((stream[pos / 8] >> (7 - pos % 8)) & 1, 1) << "ref is not 0";
+    const auto patched = insertBits(stream, pos, 0b01, 2);
+    EXPECT_DEATH(codec::decode(patched), "corrupt reference index 2");
 }
 
 // ---- Edge-geometry and content edge cases -----------------------------------

@@ -97,6 +97,20 @@ TEST(KernelStrategies, KernelModelParses)
     EXPECT_EQ(codec::kernelModel(), codec::KernelModel::Scalar);
 }
 
+/** The checked entry points refuse shapes the vector backends cannot
+ *  handle (a 1-wide bilinear block once overran its destination) before
+ *  any backend runs. */
+TEST(KernelStrategies, BlockOpsAssertShapeContract)
+{
+    uint8_t buf[64] = {};
+    const KernelOps& ops = codec::kernels();
+    EXPECT_DEATH(ops.mcBilinear(buf, 8, buf, 8, 1, 4, 1, 1),
+                 "mc_bilinear shape 1x4");
+    EXPECT_DEATH(ops.mcCopy(buf, 8, buf, 8, 12, 4), "mc_copy shape 12x4");
+    EXPECT_DEATH(ops.sadRows(buf, 8, buf, 8, 8, 0), "sad_rows shape 8x0");
+    EXPECT_EQ(ops.sadRows(buf, 8, buf, 8, 4, 4), 0);
+}
+
 TEST(KernelDifferential, SadRowsRandomizedStrides)
 {
     const auto backends = allBackends();

@@ -550,11 +550,18 @@ struct DiffRun
     std::vector<PhaseSample> phases;
 };
 
+/** Event mixes for runProbeStream: each lists the stream's event shapes
+ *  (the cases of its switch), drawn uniformly. */
+const std::vector<int> kBalancedMix = {0, 1, 2, 3, 4, 5};
+const std::vector<int> kStoreHeavyMix = {5, 5, 5, 5, 0, 2, 3};
+const std::vector<int> kLoadDependentMix = {2, 2, 2, 4, 4, 4, 1, 5};
+
 /** Drives a deterministic pseudo-random probe stream — blocks of several
  *  sizes (some load-dependent), hard and learnable branches, loads over a
  *  wandering working set, stores — through one CoreModel. */
 DiffRun
-runProbeStream(CoreParams params, bool reference, uint32_t batch)
+runProbeStream(CoreParams params, bool reference, uint32_t batch,
+               const std::vector<int>& mix = kBalancedMix)
 {
     VT_SITE(blk_a, "coretest.diff.blk_a", 96, 11, Block);
     VT_SITE(blk_b, "coretest.diff.blk_b", 40, 5, Block);
@@ -567,7 +574,7 @@ runProbeStream(CoreParams params, bool reference, uint32_t batch)
     Rng rng(0xd1ffe4e57ull);
     uint64_t addr = 0x700000000ull;
     for (int i = 0; i < 12000; ++i) {
-        switch (rng.below(6)) {
+        switch (mix[rng.below(mix.size())]) {
           case 0:
             trace::block(blk_a);
             break;
@@ -733,6 +740,50 @@ TEST(CoreDifferential, InstrumentedFastForwardMatchesOnAllWidths)
         const DiffRun ref = runProbeStream(p, true, 256);
         ASSERT_GT(opt.phases.size(), 50u) << what;
         expectSameRun(opt, ref, what);
+    }
+}
+
+/** Saturated windows: with a 4-entry ROB, a 2-entry RS, a 1-entry store
+ *  buffer and one MSHR, nearly every event waits for space, so expired
+ *  entries sit in the rings until an occupancy check pops them and the
+ *  slow admission path runs constantly. Lazy draining must still match
+ *  the reference's eager drains exactly, on every mix, with the RS both
+ *  dwelling and bypassed, and in all four instrumentation states. */
+TEST(CoreDifferential, SaturatedWindowsMatchReferenceStepping)
+{
+    const std::pair<const char*, const std::vector<int>*> mixes[] = {
+        {"balanced", &kBalancedMix},
+        {"store-heavy", &kStoreHeavyMix},
+        {"load-dependent", &kLoadDependentMix},
+    };
+    for (const auto& [mix_name, mix] : mixes) {
+        for (bool issue_at_dispatch : {false, true}) {
+            for (int combo = 0; combo < 4; ++combo) {
+                CoreParams p = baselineConfig();
+                p.rob_size = 4;
+                p.rs_size = 2;
+                p.sb_size = 1;
+                p.mshr_entries = 1;
+                p.issue_at_dispatch = issue_at_dispatch;
+                p.attribute_sites = (combo & 1) != 0;
+                p.phase_window = (combo & 2) != 0 ? 1000 : 0;
+                const uint32_t batch = combo < 2 ? 256u : 0u;
+                const std::string what =
+                    std::string(mix_name) + " issue_at_dispatch="
+                    + std::to_string(issue_at_dispatch)
+                    + " attr=" + std::to_string(p.attribute_sites)
+                    + " phase=" + std::to_string(p.phase_window)
+                    + " batch=" + std::to_string(batch);
+                const DiffRun opt = runProbeStream(p, false, batch, *mix);
+                const DiffRun ref = runProbeStream(p, true, batch, *mix);
+                // The windows really were full.
+                EXPECT_GT(opt.stats.slots_rob_stall, 0u) << what;
+                EXPECT_GT(opt.stats.slots_sb_stall, 0u) << what;
+                EXPECT_EQ(opt.stats.slots_rs_stall > 0, !issue_at_dispatch)
+                    << what;
+                expectSameRun(opt, ref, what);
+            }
+        }
     }
 }
 
