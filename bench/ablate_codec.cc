@@ -18,7 +18,12 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    Cli cli(argc, argv);
+    const Cli cli(argc, argv,
+                  {
+                      {"video", FlagKind::Text},
+                      {"seconds", FlagKind::Real},
+                      {"quiet", FlagKind::Switch},
+                  });
     setVerbose(!cli.has("quiet"));
 
     const std::string video = cli.str("video", "cricket");

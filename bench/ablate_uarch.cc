@@ -19,7 +19,12 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    Cli cli(argc, argv);
+    const Cli cli(argc, argv,
+                  {
+                      {"video", FlagKind::Text},
+                      {"seconds", FlagKind::Real},
+                      {"quiet", FlagKind::Switch},
+                  });
     setVerbose(!cli.has("quiet"));
 
     core::RunConfig base;

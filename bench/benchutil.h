@@ -26,7 +26,6 @@
 #include "obs/metrics.h"
 #include "obs/spans.h"
 #include "obs/uarch.h"
-#include "trace/probe.h"
 
 namespace vtrans::bench {
 
@@ -118,18 +117,15 @@ benchTracer()
 }
 
 /**
- * Parses the standard bench flags:
+ * The flags every sweep bench accepts (parseBenchOptions reads them):
  *   --video <name>    sweep video (default "funny", a 1080p-class clip)
- *   --seconds <s>     clip length per point (default 1.0)
+ *   --seconds <s>     clip length per point (default 0.8)
  *   --jobs <n>        worker threads for the sweep (default 1 = serial;
  *                     0 = hardware concurrency)
  *   --coarse          6x5 grid (fast preview)
  *   --fine            11x8 grid (crf Delta-5, 88 points)
  *   --full            the paper's full 816-point grid
  *   --quiet           suppress progress
- *   --batch-size <n>  probe-pipeline batch capacity (0 = per-event
- *                     dispatch; default from VTRANS_PROBE_BATCH or the
- *                     microbench-chosen trace::kDefaultProbeBatch)
  *   --kernels <isa>   kernel backend: scalar, sse41, avx2 or auto
  *                     (default from VTRANS_KERNEL_ISA, else auto; every
  *                     backend is bit-identical)
@@ -152,22 +148,41 @@ benchTracer()
  *                     Chrome trace (use with --trace-out)
  * Default grid: 8x5 (40 points).
  */
-inline BenchOptions
-parseBenchOptions(int argc, char** argv)
+inline FlagList
+benchFlags()
 {
-    Cli cli(argc, argv);
+    return {
+        {"video", FlagKind::Text},
+        {"seconds", FlagKind::Real},
+        {"jobs", FlagKind::Int},
+        {"coarse", FlagKind::Switch},
+        {"fine", FlagKind::Switch},
+        {"full", FlagKind::Switch},
+        {"quiet", FlagKind::Switch},
+        {"kernels", FlagKind::Text},
+        {"kernel-model", FlagKind::Text},
+        {"hotspots", FlagKind::Switch},
+        {"hotspots-out", FlagKind::Text},
+        {"trace-out", FlagKind::Text},
+        {"metrics", FlagKind::Switch},
+        {"uarch-report", FlagKind::Switch},
+        {"uarch-report-out", FlagKind::Text},
+        {"uarch-baseline", FlagKind::Text},
+        {"phase-window", FlagKind::Int},
+    };
+}
+
+/** Reads the benchFlags() of a parsed command line into options and
+ *  applies their process-wide settings. */
+inline BenchOptions
+parseBenchOptions(const Cli& cli)
+{
     BenchOptions options;
     options.study.video = cli.str("video", "funny");
     options.study.seconds = cli.real("seconds", 0.8);
     options.study.jobs = static_cast<int>(cli.num("jobs", 1));
     options.study.verbose = !cli.has("quiet");
     setVerbose(!cli.has("quiet"));
-
-    // A/B knob for the batched probe pipeline (bit-identical either way).
-    const int64_t batch = cli.num(
-        "batch-size", static_cast<int64_t>(trace::defaultBatchCapacity()));
-    trace::setDefaultBatchCapacity(
-        batch <= 0 ? 0 : static_cast<uint32_t>(batch));
 
     // Kernel backend (bit-identical across values) and simulated cost
     // model (vector is the opt-in SIMD-form probe model).

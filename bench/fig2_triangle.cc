@@ -16,10 +16,10 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    auto options = bench::parseBenchOptions(argc, argv);
+    const Cli cli(argc, argv, bench::benchFlags());
+    auto options = bench::parseBenchOptions(cli);
     // Only four points are measured, so afford longer clips by default:
     // the refs -> size effect needs enough anchor frames to show.
-    Cli cli(argc, argv);
     if (!cli.has("seconds")) {
         options.study.seconds = 2.5;
     }

@@ -16,9 +16,9 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    auto options = bench::parseBenchOptions(argc, argv);
+    const Cli cli(argc, argv, bench::benchFlags());
+    auto options = bench::parseBenchOptions(cli);
     // Projections need few crf lines but the full refs axis.
-    Cli cli(argc, argv);
     if (!cli.has("full") && !cli.has("coarse")) {
         options.crf_grid = {6, 16, 26, 36, 46};
     }

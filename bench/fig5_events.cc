@@ -16,7 +16,8 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    const auto options = bench::parseBenchOptions(argc, argv);
+    const auto options =
+        bench::parseBenchOptions(Cli(argc, argv, bench::benchFlags()));
 
     bench::banner(
         "Figure 5: microarchitectural event rates over crf x refs");

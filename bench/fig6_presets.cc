@@ -15,10 +15,10 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    auto options = bench::parseBenchOptions(argc, argv);
+    const Cli cli(argc, argv, bench::benchFlags());
+    auto options = bench::parseBenchOptions(cli);
     // The preset ladder's slow end (tesa, refs irrelevant at 3) is heavy;
     // a 720p-class clip keeps placebo tractable by default.
-    Cli cli(argc, argv);
     if (!cli.has("video")) {
         options.study.video = "cricket";
     }

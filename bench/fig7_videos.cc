@@ -17,7 +17,8 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    auto options = bench::parseBenchOptions(argc, argv);
+    auto options =
+        bench::parseBenchOptions(Cli(argc, argv, bench::benchFlags()));
 
     bench::banner("Figure 7: across vbench videos (medium, crf=23, refs=3)");
     std::printf("%.2fs clips, %d job(s)\n", options.study.seconds,

@@ -15,7 +15,13 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    Cli cli(argc, argv);
+    const Cli cli(argc, argv,
+                  {
+                      {"video", FlagKind::Text},
+                      {"seconds", FlagKind::Real},
+                      {"combos", FlagKind::Switch},
+                      {"quiet", FlagKind::Switch},
+                  });
     setVerbose(!cli.has("quiet"));
 
     core::OptStudyOptions options;

@@ -15,7 +15,11 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    Cli cli(argc, argv);
+    const Cli cli(argc, argv,
+                  {
+                      {"seconds", FlagKind::Real},
+                      {"quiet", FlagKind::Switch},
+                  });
     setVerbose(!cli.has("quiet"));
     const double seconds = cli.real("seconds", 1.0);
 

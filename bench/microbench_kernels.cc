@@ -211,7 +211,15 @@ smokeIdentity(bool quiet)
 int
 main(int argc, char** argv)
 {
-    Cli cli(argc, argv);
+    const Cli cli(argc, argv,
+                  {
+                      {"calls", FlagKind::Int},
+                      {"reps", FlagKind::Int},
+                      {"min-speedup", FlagKind::Real},
+                      {"out", FlagKind::Text},
+                      {"smoke", FlagKind::Switch},
+                      {"quiet", FlagKind::Switch},
+                  });
     setVerbose(false);
     const uint64_t calls = static_cast<uint64_t>(cli.num("calls", 200000));
     const int reps = static_cast<int>(cli.num("reps", 5));

@@ -1,8 +1,7 @@
 /**
  * @file
- * Probe-pipeline microbenchmark: events/sec through the probe bus for the
- * per-event virtual-dispatch path vs the batched ProbeEvent pipeline, over
- * three consumers of increasing weight —
+ * Probe-pipeline microbenchmark: events/sec through the probe bus's batch
+ * ring over a capacity sweep, for three consumers of increasing weight —
  *
  *   count  a trivial counting sink (pure pipeline dispatch cost),
  *   model  uarch::CoreModel (the common instrumented-run configuration),
@@ -10,36 +9,30 @@
  *
  * on a deterministic synthetic event stream shaped like the codec's hot
  * kernels (macroblock row: block, loads, dependent block, store, early-exit
- * branch, loop branch). Every mode's CoreStats (and profiler totals) are
- * asserted bit-identical to the per-event baseline — the batch pipeline is
- * an optimization, never a semantic change.
+ * branch, loop branch). Every capacity's event count, CoreStats and
+ * profiler totals are asserted bit-identical to the smallest capacity's —
+ * how the stream is split into batches never changes a result.
  *
  *   ./build/bench/microbench_probe [--events 4000000] [--reps 3]
- *       [--stream block|branch|mem|mixed] [--min-speedup 1.0]
- *       [--min-model-speedup 0] [--attr-overhead 0]
- *       [--out BENCH_probe.json] [--e2e] [--e2e-seconds 0.12] [--quiet]
+ *       [--stream block|branch|mem|mixed] [--min-model-speedup 0]
+ *       [--attr-overhead 0] [--out BENCH_probe.json] [--quiet]
  *
  * --stream selects the synthetic mix: `block` (pure basic-block
  * retirement — the dispatch fast-forward), `branch` (predictor-bound),
  * `mem` (loads/stores — caches, MSHR, store buffer), or the default
- * codec-shaped `mixed`. --e2e additionally A/Bs two real workloads end
- * to end (per-event vs the default batch capacity), checking fingerprint
- * identity and reporting wall clocks: the fig3 crf x refs sweep on 1
- * worker, and a farm drain. --min-model-speedup R (0 = off) runs the
- * model sink's event-driven fast-forward against the retained
- * instruction-stepped reference path in the same binary, asserts their
- * CoreStats are bit-identical, and fails below R x. --attr-overhead R
- * (0 = off) measures the model sink at the default batch with per-site
- * attribution on vs off, asserts the CoreStats are identical
- * (attribution is pure accounting), and fails if the attributed run is
- * more than R x slower. --out writes the machine-readable
- * BENCH_probe.json consumed by tools/check.sh and quoted in README.md.
+ * codec-shaped `mixed`. --min-model-speedup R (0 = off) runs the model
+ * sink's event-driven fast-forward against the instruction-stepped
+ * oracle (tests/support/reference_core.h) in the same binary, asserts
+ * their CoreStats are bit-identical, and fails below R x.
+ * --attr-overhead R (0 = off) measures the model sink at the default
+ * batch with per-site attribution on vs off, asserts the CoreStats are
+ * identical (attribution is pure accounting), and fails if the
+ * attributed run is more than R x slower. --out writes the
+ * machine-readable BENCH_probe.json quoted in README.md.
  *
- * Exits non-zero if any identity check fails, if the batched pipeline's
- * events/sec (count mode, default batch) falls below --min-speedup x the
- * per-event baseline, if attribution overhead exceeds --attr-overhead,
- * or if a consumer-bound mode (model/tee) comes out slower than
- * per-event beyond timing noise.
+ * Exits non-zero if any identity check fails, if the fast-forward falls
+ * below --min-model-speedup, or if attribution overhead exceeds
+ * --attr-overhead.
  */
 
 #include <algorithm>
@@ -47,17 +40,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/cli.h"
 #include "common/status.h"
-#include "core/parallel.h"
-#include "core/studies.h"
-#include "core/workload.h"
-#include "farm/farm.h"
-#include "farm/runlog.h"
 #include "obs/hotspots.h"
+#include "tests/support/reference_core.h"
 #include "trace/probe.h"
 #include "uarch/config.h"
 #include "uarch/core.h"
@@ -85,7 +75,7 @@ class CountingSink : public trace::ProbeSink
     onBatch(const trace::ProbeEvent* events, size_t count) override
     {
         // Fused block+branch records count as two events, matching the
-        // per-event path's tally.
+        // default replay's tally.
         for (size_t i = 0; i < count; ++i) {
             events_ += events[i].kind == trace::ProbeEvent::kBlockBranch
                            ? 2
@@ -239,7 +229,7 @@ emitStream(StreamKind kind, uint64_t iters)
 struct Measurement
 {
     std::string sink;   ///< "count" / "model" / "tee".
-    uint32_t batch = 0; ///< 0 = per-event dispatch.
+    uint32_t batch = 0; ///< Probe batch capacity.
     double best_seconds = 0.0;
     double events_per_sec = 0.0;
     uarch::CoreStats stats;         ///< model/tee modes.
@@ -259,14 +249,15 @@ runMode(const std::string& sink_kind, uint32_t batch, uint64_t iters,
     for (int rep = 0; rep < reps; ++rep) {
         uarch::CoreParams params = uarch::baselineConfig();
         params.attribute_sites = attribute;
-        params.reference_stepping = reference;
-        uarch::CoreModel model(params);
+        const std::unique_ptr<uarch::CoreModel> model =
+            reference ? std::make_unique<uarch::ReferenceCoreModel>(params)
+                      : std::make_unique<uarch::CoreModel>(params);
         obs::HotspotProfiler profiler;
-        trace::TeeSink tee({&model, &profiler});
+        trace::TeeSink tee({model.get(), &profiler});
         CountingSink counter;
         trace::ProbeSink* sink = &counter;
         if (sink_kind == "model") {
-            sink = &model;
+            sink = model.get();
         } else if (sink_kind == "tee") {
             sink = &tee;
         }
@@ -279,7 +270,7 @@ runMode(const std::string& sink_kind, uint32_t batch, uint64_t iters,
         if (rep == reps - 1) {
             // Stats are deterministic across reps; keep the last one.
             if (sink_kind != "count") {
-                m.stats = model.finish();
+                m.stats = model->finish();
             }
             m.profiler_instr = profiler.totalInstructions();
             m.counted = counter.events();
@@ -333,192 +324,63 @@ statsIdentical(const uarch::CoreStats& a, const uarch::CoreStats& b,
     return ok;
 }
 
-/** End-to-end A/B of one workload: per-event vs batched wall clock. */
-struct E2eResult
-{
-    double per_event_seconds = 0.0;
-    double batched_seconds = 0.0;
-    bool identical = false;
-
-    double
-    speedup() const
-    {
-        return batched_seconds > 0.0 ? per_event_seconds / batched_seconds
-                                     : 0.0;
-    }
-};
-
-/** The fig3 crf x refs sweep on 1 worker (trimmed grid). */
-E2eResult
-e2eSweep(double seconds, uint32_t batch)
-{
-    const std::vector<int> crf{1, 21, 41};
-    const std::vector<int> refs{1, 4, 16};
-    core::StudyOptions options;
-    options.video = "funny";
-    options.seconds = seconds;
-    options.jobs = 1;
-    options.verbose = false;
-    core::mezzanine(options.video, options.seconds); // Warm, untimed.
-
-    auto fingerprints = [&](uint32_t capacity) {
-        trace::setDefaultBatchCapacity(capacity);
-        const auto t0 = Clock::now();
-        const auto points = core::parallelCrfRefsSweep(crf, refs, options);
-        const double secs = secondsSince(t0);
-        std::vector<uint64_t> prints;
-        for (const auto& p : points) {
-            prints.push_back(farm::fingerprint(p.run));
-        }
-        return std::make_pair(secs, prints);
-    };
-    const auto per_event = fingerprints(0);
-    const auto batched = fingerprints(batch);
-
-    E2eResult r;
-    r.per_event_seconds = per_event.first;
-    r.batched_seconds = batched.first;
-    r.identical = per_event.second == batched.second;
-    return r;
-}
-
-/** A farm drain (mixed job stream, 2 workers). */
-E2eResult
-e2eFarm(double seconds, uint32_t batch)
-{
-    const std::vector<sched::Task> catalog = {
-        {"desktop", 30, 8, "veryfast"},
-        {"cat", 23, 3, "fast"},
-        {"game2", 15, 2, "medium"},
-        {"bike", 20, 4, "fast"},
-    };
-    farm::FarmOptions options;
-    options.workers = 2;
-    options.clip_seconds = seconds;
-    farm::Farm::warmupProcess();
-    core::mezzanine(options.reference_video, options.clip_seconds);
-    for (const auto& task : catalog) {
-        core::mezzanine(task.video, options.clip_seconds);
-    }
-
-    auto drain = [&](uint32_t capacity) {
-        trace::setDefaultBatchCapacity(capacity);
-        farm::Farm service(options);
-        for (int i = 0; i < 12; ++i) {
-            farm::JobRequest req;
-            req.task = catalog[i % catalog.size()];
-            req.submit_time = 0.0001 * i;
-            service.submit(req);
-        }
-        const auto t0 = Clock::now();
-        service.drain();
-        const double secs = secondsSince(t0);
-        std::map<uint64_t, uint64_t> prints;
-        for (const auto& rec : service.log().records()) {
-            prints[rec.id] = rec.result_fingerprint;
-        }
-        return std::make_pair(secs, prints);
-    };
-    const auto per_event = drain(0);
-    const auto batched = drain(batch);
-
-    E2eResult r;
-    r.per_event_seconds = per_event.first;
-    r.batched_seconds = batched.first;
-    r.identical = per_event.second == batched.second;
-    return r;
-}
-
 } // namespace
-
-void
-printHelp(const char* prog)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "\n"
-        "Probe-pipeline microbenchmark: events/sec for per-event vs batched\n"
-        "delivery over count/model/tee sinks, with bit-identity checks.\n"
-        "\n"
-        "  --events N            probe calls per rep (default 4000000)\n"
-        "  --reps N              timed repetitions, best-of (default 3)\n"
-        "  --stream KIND         synthetic event mix (default mixed):\n"
-        "                          block   pure basic-block retirement\n"
-        "                                  (dispatch fast-forward path)\n"
-        "                          branch  branch-dominated (predictor)\n"
-        "                          mem     loads/stores (caches, MSHR, SB)\n"
-        "                          mixed   codec-shaped mix of all three\n"
-        "  --min-speedup R       fail if count-sink batched/per-event < R\n"
-        "  --min-model-speedup R fail if the model sink's event-driven\n"
-        "                        fast-forward is < R x the retained\n"
-        "                        instruction-stepped reference (also\n"
-        "                        asserts their CoreStats are bit-identical)\n"
-        "  --attr-overhead R     fail if per-site attribution costs > R x\n"
-        "                        (0 = skip; also asserts identity)\n"
-        "  --e2e                 A/B two real workloads end to end\n"
-        "  --e2e-seconds S       clip length for --e2e (default 0.12)\n"
-        "  --out FILE            write machine-readable BENCH_probe.json\n"
-        "  --quiet               suppress the per-capacity sweep lines\n",
-        prog);
-}
 
 int
 main(int argc, char** argv)
 {
-    Cli cli(argc, argv);
+    const Cli cli(argc, argv,
+                  {
+                      {"events", FlagKind::Int},
+                      {"reps", FlagKind::Int},
+                      {"stream", FlagKind::Text},
+                      {"min-model-speedup", FlagKind::Real},
+                      {"attr-overhead", FlagKind::Real},
+                      {"out", FlagKind::Text},
+                      {"quiet", FlagKind::Switch},
+                  });
     setVerbose(false);
-    if (cli.has("help")) {
-        printHelp(cli.program().c_str());
-        return 0;
-    }
     const uint64_t events =
         static_cast<uint64_t>(cli.num("events", 4000000));
     const uint64_t iters = std::max<uint64_t>(events / kCallsPerIter, 1);
     const int reps = static_cast<int>(cli.num("reps", 3));
-    const double min_speedup = cli.real("min-speedup", 1.0);
     const double min_model_speedup = cli.real("min-model-speedup", 0.0);
     const double attr_overhead = cli.real("attr-overhead", 0.0);
     const StreamKind stream = parseStream(cli.str("stream", "mixed"));
     const std::string out = cli.str("out", "");
-    const bool e2e = cli.has("e2e");
-    const double e2e_seconds = cli.real("e2e-seconds", 0.12);
     const bool quiet = cli.has("quiet");
     const uint32_t default_batch = trace::kDefaultProbeBatch;
 
-    const std::vector<uint32_t> capacities{0, 16, 64, 256, 1024};
+    const std::vector<uint32_t> capacities{16, 64, 256, 1024};
     const std::vector<std::string> sinks{"count", "model", "tee"};
 
     // Warm up: register the synthetic sites and fault in the buffers.
-    runMode("count", 0, std::min<uint64_t>(iters, 10000), 1, false, stream);
+    runMode("count", default_batch, std::min<uint64_t>(iters, 10000), 1,
+            false, stream);
     if (!quiet) {
         std::printf("stream: %s\n", streamName(stream));
     }
 
     std::vector<Measurement> sweep;
-    std::map<std::string, Measurement> per_event;
+    std::map<std::string, Measurement> smallest;
     for (const auto& sink : sinks) {
         for (uint32_t batch : capacities) {
             Measurement m = runMode(sink, batch, iters, reps, false, stream);
-            if (batch == 0) {
-                per_event[sink] = m;
+            if (batch == capacities.front()) {
+                smallest[sink] = m;
             }
             if (!quiet) {
-                std::printf("%-6s batch %-5u  %8.1f M events/s%s\n",
-                            sink.c_str(), batch,
-                            m.events_per_sec / 1e6,
-                            batch == 0 ? "  (per-event baseline)" : "");
+                std::printf("%-6s batch %-5u  %8.1f M events/s\n",
+                            sink.c_str(), batch, m.events_per_sec / 1e6);
             }
             sweep.push_back(std::move(m));
         }
     }
 
-    // --- Identity: every batched mode must match its per-event baseline.
+    // --- Identity: every capacity must match the smallest one.
     bool identical = true;
     for (const auto& m : sweep) {
-        if (m.batch == 0) {
-            continue;
-        }
-        const Measurement& base = per_event[m.sink];
+        const Measurement& base = smallest[m.sink];
         if (m.sink == "count") {
             if (m.counted != base.counted) {
                 std::fprintf(stderr,
@@ -542,31 +404,13 @@ main(int argc, char** argv)
             }
         }
     }
+    std::printf("\nidentity across capacities: %s\n",
+                identical ? "OK (bit-identical)" : "FAILED");
 
-    // --- Speedup at the shipped default capacity, per sink flavour.
-    std::map<std::string, double> speedup;
-    for (const auto& m : sweep) {
-        if (m.batch == default_batch) {
-            speedup[m.sink] =
-                m.events_per_sec / per_event[m.sink].events_per_sec;
-        }
-    }
-    std::printf("\nspeedup at batch %u (vs per-event): "
-                "pipeline x%.2f, model x%.2f, tee x%.2f\n",
-                default_batch, speedup["count"], speedup["model"],
-                speedup["tee"]);
-    std::printf("identity: %s\n", identical ? "OK (bit-identical)"
-                                            : "FAILED");
-
-    // --- Optional attribution-overhead gate: the model sink at the
-    // default batch with per-site attribution off vs on. Attribution is
-    // pure accounting, so the CoreStats must not change at all; the
-    // wall-clock slowdown must stay under --attr-overhead.
     // --- Optional model-sink gate: the event-driven fast-forward vs the
-    // retained instruction-stepped reference path, same stream, same
-    // binary (so the ratio is machine-independent). The two must be
-    // bit-identical; the fast-forward must be at least
-    // --min-model-speedup x faster.
+    // instruction-stepped oracle, same stream, same binary (so the ratio
+    // is machine-independent). The two must be bit-identical; the
+    // fast-forward must be at least --min-model-speedup x faster.
     double model_speedup_vs_reference = 0.0;
     if (min_model_speedup > 0.0) {
         const Measurement ref = runMode("model", default_batch, iters,
@@ -583,6 +427,10 @@ main(int argc, char** argv)
                     model_speedup_vs_reference, min_model_speedup);
     }
 
+    // --- Optional attribution-overhead gate: the model sink at the
+    // default batch with per-site attribution off vs on. Attribution is
+    // pure accounting, so the CoreStats must not change at all; the
+    // wall-clock slowdown must stay under --attr-overhead.
     double attr_slowdown = 0.0;
     if (attr_overhead > 0.0) {
         const Measurement off =
@@ -597,30 +445,6 @@ main(int argc, char** argv)
         std::printf("attribution overhead (model, batch %u): x%.3f "
                     "(limit x%.3f)\n",
                     default_batch, attr_slowdown, attr_overhead);
-    }
-
-    // --- Optional end-to-end A/B on real workloads.
-    E2eResult sweep_e2e;
-    E2eResult farm_e2e;
-    if (e2e) {
-        if (!quiet) {
-            std::printf("\nend-to-end A/B (batch 0 vs %u)...\n",
-                        default_batch);
-        }
-        sweep_e2e = e2eSweep(e2e_seconds, default_batch);
-        farm_e2e = e2eFarm(e2e_seconds, default_batch);
-        trace::setDefaultBatchCapacity(default_batch);
-        std::printf("fig3 sweep --jobs 1: %.3fs per-event, %.3fs batched "
-                    "(x%.2f, %s)\n",
-                    sweep_e2e.per_event_seconds, sweep_e2e.batched_seconds,
-                    sweep_e2e.speedup(),
-                    sweep_e2e.identical ? "identical" : "MISMATCH");
-        std::printf("farm drain:          %.3fs per-event, %.3fs batched "
-                    "(x%.2f, %s)\n",
-                    farm_e2e.per_event_seconds, farm_e2e.batched_seconds,
-                    farm_e2e.speedup(),
-                    farm_e2e.identical ? "identical" : "MISMATCH");
-        identical = identical && sweep_e2e.identical && farm_e2e.identical;
     }
 
     // --- Machine-readable report (BENCH_probe.json).
@@ -647,11 +471,7 @@ main(int argc, char** argv)
                          sweep[i].events_per_sec,
                          i + 1 < sweep.size() ? "," : "");
         }
-        std::fprintf(f, "  ],\n");
-        std::fprintf(f,
-                     "  \"speedup_at_default\": {\"pipeline\": %.3f, "
-                     "\"model\": %.3f, \"tee\": %.3f}",
-                     speedup["count"], speedup["model"], speedup["tee"]);
+        std::fprintf(f, "  ]");
         if (min_model_speedup > 0.0) {
             std::fprintf(f,
                          ",\n  \"model_speedup_vs_reference\": "
@@ -663,22 +483,6 @@ main(int argc, char** argv)
                          ",\n  \"attribution\": {\"slowdown\": %.3f, "
                          "\"max_allowed\": %.3f}",
                          attr_slowdown, attr_overhead);
-        }
-        if (e2e) {
-            std::fprintf(
-                f,
-                ",\n  \"end_to_end\": {\n"
-                "    \"fig3_heatmaps_jobs1\": {\"per_event_seconds\": %.4f, "
-                "\"batched_seconds\": %.4f, \"speedup\": %.3f, "
-                "\"identical\": %s},\n"
-                "    \"farm_throughput\": {\"per_event_seconds\": %.4f, "
-                "\"batched_seconds\": %.4f, \"speedup\": %.3f, "
-                "\"identical\": %s}\n  }",
-                sweep_e2e.per_event_seconds, sweep_e2e.batched_seconds,
-                sweep_e2e.speedup(),
-                sweep_e2e.identical ? "true" : "false",
-                farm_e2e.per_event_seconds, farm_e2e.batched_seconds,
-                farm_e2e.speedup(), farm_e2e.identical ? "true" : "false");
         }
         std::fprintf(f, "\n}\n");
         std::fclose(f);
@@ -701,31 +505,6 @@ main(int argc, char** argv)
                      "ATTRIBUTION OVERHEAD FAIL: x%.3f > allowed x%.3f\n",
                      attr_slowdown, attr_overhead);
         return 1;
-    }
-    for (const auto& [sink, x] : speedup) {
-        // --min-speedup gates the pure pipeline (count). The consumer-
-        // bound modes spend most of their time inside the consumer, so
-        // their ratio sits near 1.0 and is noise-dominated: since the
-        // model's event-driven fast-forward, single-vCPU CI jitter
-        // swings the batch-256/per-event model ratio between ~0.78 and
-        // ~1.13 run-to-run on the default mix. The floor here only
-        // catches gross batching breakage; fine-grained delivery QA is
-        // the count gate, --min-model-speedup, and the committed
-        // end-to-end A/B. The isolation streams skip the floor — they
-        // exist to measure the fast-forward ratio, and e.g. the
-        // pure-block stream makes the model sink fast enough that
-        // batching's per-event site-id registry lookup shows as a net
-        // loss there by design.
-        if (sink != "count" && stream != StreamKind::Mixed) {
-            continue;
-        }
-        const double floor = sink == "count" ? min_speedup : 0.75;
-        if (x < floor) {
-            std::fprintf(stderr,
-                         "SPEEDUP FAIL: %s x%.3f < required x%.3f\n",
-                         sink.c_str(), x, floor);
-            return 1;
-        }
     }
     return 0;
 }

@@ -14,7 +14,7 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    Cli cli(argc, argv);
+    Cli(argc, argv, {}); // Takes no flags beyond --help.
     setVerbose(false);
 
     bench::banner("Table II: selection of important options per preset");

@@ -21,7 +21,15 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    Cli cli(argc, argv);
+    const Cli cli(argc, argv,
+                  {
+                      {"video", FlagKind::Text},
+                      {"seconds", FlagKind::Real},
+                      {"preset", FlagKind::Text},
+                      {"crf", FlagKind::Int},
+                      {"refs", FlagKind::Int},
+                      {"config", FlagKind::Text},
+                  });
     setVerbose(false);
 
     core::RunConfig run;

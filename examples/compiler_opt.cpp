@@ -28,7 +28,11 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    Cli cli(argc, argv);
+    const Cli cli(argc, argv,
+                  {
+                      {"video", FlagKind::Text},
+                      {"seconds", FlagKind::Real},
+                  });
     setVerbose(false);
     const std::string video = cli.str("video", "landscape");
     const double seconds = cli.real("seconds", 1.0);

@@ -29,7 +29,11 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    Cli cli(argc, argv);
+    const Cli cli(argc, argv,
+                  {
+                      {"video", FlagKind::Text},
+                      {"crf", FlagKind::Int},
+                  });
     setVerbose(false);
 
     const std::string video = cli.str("video", "cricket");

@@ -225,7 +225,29 @@ runPolicy(const std::vector<farm::JobRequest>& stream,
 int
 main(int argc, char** argv)
 {
-    Cli cli(argc, argv);
+    const Cli cli(argc, argv,
+                  {
+                      {"jobs", FlagKind::Int},
+                      {"seconds", FlagKind::Real},
+                      {"workers", FlagKind::Int},
+                      {"retries", FlagKind::Int},
+                      {"seed", FlagKind::Int},
+                      {"faults", FlagKind::Real},
+                      {"policy", FlagKind::Text},
+                      {"queue", FlagKind::Text},
+                      {"zipf-s", FlagKind::Real},
+                      {"cache-mb", FlagKind::Int},
+                      {"chunked", FlagKind::Switch},
+                      {"chunk-frames", FlagKind::Int},
+                      {"max-chunks", FlagKind::Int},
+                      {"log", FlagKind::Text},
+                      {"trace-out", FlagKind::Text},
+                      {"metrics", FlagKind::Switch},
+                      {"uarch-report", FlagKind::Switch},
+                      {"uarch-report-out", FlagKind::Text},
+                      {"phase-window", FlagKind::Int},
+                      {"verbose", FlagKind::Switch},
+                  });
     setVerbose(cli.has("verbose"));
     const int jobs = static_cast<int>(cli.num("jobs", 48));
     const int retries = static_cast<int>(cli.num("retries", 2));

@@ -104,11 +104,10 @@ runInstrumented(const RunConfig& config)
     const bool profiled =
         obs::hotspotsEnabled() || model.attributionEnabled();
     trace::setSink(profiled ? static_cast<trace::ProbeSink*>(&tee)
-                            : &model,
-                   trace::defaultBatchCapacity());
+                            : &model);
     codec::TranscodeResult transcoded =
         codec::transcode(source, config.params);
-    trace::setSink(nullptr); // Flushes any pending batched events.
+    trace::setSink(nullptr); // Flushes any pending events.
     if (profiled) {
         obs::hotspotReport().merge(profiler);
     }
@@ -152,8 +151,7 @@ runInstrumentedChunk(
     const bool profiled =
         obs::hotspotsEnabled() || model.attributionEnabled();
     trace::setSink(profiled ? static_cast<trace::ProbeSink*>(&tee)
-                            : &model,
-                   trace::defaultBatchCapacity());
+                            : &model);
 
     // Each slice is an independent closed-GOP transcode (its own encoder
     // state) — the segment-atom contract that makes the stitched stream

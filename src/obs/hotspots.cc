@@ -204,7 +204,7 @@ HotspotProfiler::onBatch(const trace::ProbeEvent* events, size_t count)
 {
     // Direct batch consumption mirroring the per-event handlers exactly
     // (qualified calls — no virtual dispatch), so every tally matches the
-    // per-event path bit-for-bit.
+    // default replay bit for bit.
     trace::SiteRegistry& reg = trace::registry();
     for (size_t i = 0; i < count; ++i) {
         const trace::ProbeEvent& e = events[i];
@@ -265,7 +265,7 @@ kernelFamily(const std::string& site_name)
     if (starts("dct.") || starts("trellis.")) {
         return "transform/quant";
     }
-    if (starts("arith.") || starts("bitstream.") || starts("entropy.")) {
+    if (starts("bitstream.") || starts("entropy.")) {
         return "entropy coding";
     }
     if (starts("deblock.")) {

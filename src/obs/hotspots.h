@@ -103,8 +103,8 @@ class HotspotProfiler : public trace::ProbeSink
     void onStore(uint64_t addr, uint32_t bytes) override;
 
     /** Consumes a batch directly (no per-event virtual dispatch); records
-     *  are tallied in order by the same member functions, so totals are
-     *  bit-identical to the per-event path. */
+     *  are tallied in order by the same member functions, so totals match
+     *  the default per-event replay bit for bit. */
     void onBatch(const trace::ProbeEvent* events, size_t count) override;
 
     /** Counters indexed by site id (absent ids have all-zero tallies). */

@@ -1,8 +1,5 @@
 #include "trace/probe.h"
 
-#include <atomic>
-#include <cstdlib>
-
 #include "common/status.h"
 
 namespace vtrans::trace {
@@ -34,72 +31,25 @@ flushBatch()
 
 } // namespace detail
 
-namespace {
-
-/// Sentinel meaning "not yet initialized from the environment".
-constexpr uint32_t kBatchUnset = UINT32_MAX;
-
-std::atomic<uint32_t> g_default_batch{kBatchUnset};
-
-uint32_t
-batchCapacityFromEnv()
-{
-    const char* env = std::getenv("VTRANS_PROBE_BATCH");
-    if (env != nullptr && *env != '\0') {
-        char* end = nullptr;
-        const long value = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && value >= 0 &&
-            value < static_cast<long>(kBatchUnset)) {
-            return static_cast<uint32_t>(value);
-        }
-    }
-    return kDefaultProbeBatch;
-}
-
-} // namespace
-
-uint32_t
-defaultBatchCapacity()
-{
-    uint32_t value = g_default_batch.load(std::memory_order_relaxed);
-    if (value == kBatchUnset) {
-        value = batchCapacityFromEnv();
-        g_default_batch.store(value, std::memory_order_relaxed);
-    }
-    return value;
-}
-
-void
-setDefaultBatchCapacity(uint32_t capacity)
-{
-    VT_ASSERT(capacity != kBatchUnset, "batch capacity out of range");
-    g_default_batch.store(capacity, std::memory_order_relaxed);
-}
-
-void
-setSink(ProbeSink* sink)
-{
-    flush();
-    g_sink = sink;
-    detail::g_cursor = detail::BatchCursor{};
-}
-
 void
 setSink(ProbeSink* sink, uint32_t batch_capacity)
 {
+    VT_ASSERT(sink == nullptr || batch_capacity >= 2,
+              "probe batch capacity must be at least 2, got ",
+              batch_capacity);
     flush();
     g_sink = sink;
-    if (sink != nullptr && batch_capacity >= 2) {
-        std::vector<ProbeEvent>& storage = detail::t_batch_storage;
-        if (storage.size() < batch_capacity) {
-            storage.resize(batch_capacity);
-        }
-        detail::g_cursor.begin = storage.data();
-        detail::g_cursor.pos = storage.data();
-        detail::g_cursor.end = storage.data() + batch_capacity;
-    } else {
+    if (sink == nullptr) {
         detail::g_cursor = detail::BatchCursor{};
+        return;
     }
+    std::vector<ProbeEvent>& storage = detail::t_batch_storage;
+    if (storage.size() < batch_capacity) {
+        storage.resize(batch_capacity);
+    }
+    detail::g_cursor.begin = storage.data();
+    detail::g_cursor.pos = storage.data();
+    detail::g_cursor.end = storage.data() + batch_capacity;
 }
 
 void
@@ -149,6 +99,7 @@ void
 TeeSink::add(ProbeSink* sink)
 {
     VT_ASSERT(sink != nullptr, "cannot chain a null probe sink");
+    flush();
     sinks_.push_back(sink);
 }
 
@@ -188,9 +139,8 @@ void
 TeeSink::onBatch(const ProbeEvent* events, size_t count)
 {
     // Forward the batch whole: each sink consumes the identical event
-    // sequence in the identical order, so per-sink results match the
-    // per-event tee exactly; only the (unobservable) interleaving between
-    // independent sinks differs.
+    // sequence in the identical order; only the (unobservable)
+    // interleaving between independent sinks is batch-grained.
     for (ProbeSink* sink : sinks_) {
         sink->onBatch(events, count);
     }

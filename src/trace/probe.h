@@ -13,23 +13,15 @@
  * load()/store(). When no sink is attached the per-event cost is a single
  * predictable branch, so the codec can also run "natively".
  *
- * Dispatch to an attached sink runs in one of two modes:
- *
- *  - **Per-event** (`setSink(sink)`): every emit makes a virtual call into
- *    the sink immediately. This is the original bus and remains the
- *    reference semantics.
- *  - **Batched** (`setSink(sink, capacity)` with capacity >= 2): emits
- *    append compact `ProbeEvent` PODs to a thread-local ring buffer that is
- *    flushed to `ProbeSink::onBatch()` whenever it fills (and on flush()/
- *    detach). The default `onBatch` replays the per-event virtuals in
- *    order, so every sink observes the exact same event sequence either
- *    way — batching only amortizes the dispatch cost, it never reorders,
- *    drops, or duplicates events. Results are bit-identical by
- *    construction.
- *
- * In the batched pipeline a conditional branch is one fused block+branch
- * record (`ProbeEvent::kBlockBranch`) instead of the two separate virtual
- * calls the per-event path pays, so branch sites cost a single dispatch.
+ * An attached sink receives events in batches: emits append compact
+ * `ProbeEvent` PODs to a thread-local ring of `batch_capacity` records
+ * (`setSink`), which is delivered to `ProbeSink::onBatch()` whenever it
+ * fills, on flush() and on detach. The default `onBatch` replays the
+ * per-event virtuals in order, so a sink that only implements those
+ * observes the exact emission sequence; batching amortizes the dispatch
+ * cost and never reorders, drops or duplicates events. A conditional
+ * branch is one fused block+branch record (`ProbeEvent::kBlockBranch`),
+ * so branch sites cost a single append.
  *
  * This layer is the stand-in for binary instrumentation / hardware
  * performance counters in the paper's methodology (Intel VTune + Linux
@@ -80,7 +72,7 @@ struct CodeSite
  * Only the operand fields a kind defines are written on append; the rest
  * keep whatever the buffer slot last held, so consumers must not read
  * them. Branch records carry the direction *after* layout polarity is
- * applied (exactly what the per-event path hands to `onBranch`).
+ * applied (exactly what the default replay hands to `onBranch`).
  */
 struct ProbeEvent
 {
@@ -144,11 +136,10 @@ class ProbeSink
  * chain order, so a pure observer placed after the model sees exactly the
  * stream the model has already accounted.
  *
- * Under the batched pipeline the tee forwards each flushed batch whole:
- * sink 1 consumes the entire block before sink 2 starts. Each sink still
- * observes the identical event sequence in the identical order, so any
- * per-sink result is unchanged; only the interleaving *between* sinks
- * differs from the per-event path, which no sink can observe.
+ * The tee forwards each flushed batch whole: sink 1 consumes the entire
+ * block before sink 2 starts. Each sink still observes the identical
+ * event sequence in the identical order; only the interleaving *between*
+ * independent sinks is batch-grained, which no sink can observe.
  *
  * The tee itself is not thread-safe; like any sink it is attached to one
  * thread via `setSink` and owned by that thread's run.
@@ -159,7 +150,9 @@ class TeeSink : public ProbeSink
     TeeSink() = default;
     explicit TeeSink(std::vector<ProbeSink*> sinks);
 
-    /** Appends a sink to the chain (must not be null). */
+    /** Appends a sink to the chain (must not be null). This thread's
+     *  pending events are flushed first, so a sink added mid-run sees
+     *  only the events emitted after it joined. */
     void add(ProbeSink* sink);
 
     /** The chained sinks, in dispatch order. */
@@ -247,9 +240,9 @@ extern thread_local ProbeSink* g_sink;
 namespace detail {
 
 /**
- * The calling thread's batch cursor. `pos == nullptr` means per-event
- * dispatch; otherwise events append at `pos` within [begin, end) and the
- * block flushes to the sink when full.
+ * The calling thread's batch cursor: events append at `pos` within
+ * [begin, end) and the block flushes to the sink when full. All null
+ * while no sink is attached.
  */
 struct BatchCursor
 {
@@ -265,39 +258,29 @@ void flushBatch();
 
 } // namespace detail
 
-/** Attaches a sink on this thread in per-event mode (replacing any);
- *  nullptr detaches. Pending batched events of the previously attached
- *  sink are flushed to it first, so no event is ever lost. */
-void setSink(ProbeSink* sink);
-
-/**
- * Attaches a sink on this thread with batched dispatch: events accumulate
- * in a thread-local buffer of `batch_capacity` records and are delivered
- * via `ProbeSink::onBatch`. A capacity of 0 or 1 degenerates to per-event
- * dispatch. As with the per-event overload, the previous sink's pending
- * events are flushed before it is replaced.
- */
-void setSink(ProbeSink* sink, uint32_t batch_capacity);
-
-/** Delivers any pending batched events on this thread to the sink now.
- *  (Detaching with setSink(nullptr) flushes implicitly.) */
-void flush();
-
-/** Compiled-in default batch capacity, chosen from the
+/** Batch capacity of every instrumented run, chosen from the
  *  bench/microbench_probe capacity sweep (see BENCH_probe.json). */
 inline constexpr uint32_t kDefaultProbeBatch = 256;
 
-/**
- * The process-wide default batch capacity used by instrumented runs
- * (core::runInstrumented, uarch::simulate). Initialized on first read
- * from the VTRANS_PROBE_BATCH environment variable when set, else
- * kDefaultProbeBatch; benches override it with --batch-size. 0 selects
- * the per-event path, which is how the pipeline is A/B'd.
- */
-uint32_t defaultBatchCapacity();
+/** The batch capacity instrumented runs attach with. */
+inline constexpr uint32_t
+defaultBatchCapacity()
+{
+    return kDefaultProbeBatch;
+}
 
-/** Overrides the process-wide default batch capacity (0 = per-event). */
-void setDefaultBatchCapacity(uint32_t capacity);
+/**
+ * Attaches a sink on this thread (replacing any); nullptr detaches.
+ * Events accumulate in a thread-local buffer of `batch_capacity` (>= 2)
+ * records and are delivered via `ProbeSink::onBatch`. Pending events of
+ * the previously attached sink are flushed to it first, so no event is
+ * ever lost.
+ */
+void setSink(ProbeSink* sink, uint32_t batch_capacity = kDefaultProbeBatch);
+
+/** Delivers any pending events on this thread to the sink now.
+ *  (Detaching with setSink(nullptr) flushes implicitly.) */
+void flush();
 
 /** True when a sink is attached on this thread. Kernels use this to skip
  *  probe-argument computation (simulated-address math) on native runs. */
@@ -315,41 +298,31 @@ block(const CodeSite& site)
         return;
     }
     detail::BatchCursor& cur = detail::g_cursor;
-    if (cur.pos != nullptr) {
-        ProbeEvent& e = *cur.pos++;
-        e.aux = site.id;
-        e.kind = ProbeEvent::kBlock;
-        if (cur.pos == cur.end) {
-            detail::flushBatch();
-        }
-        return;
+    ProbeEvent& e = *cur.pos++;
+    e.aux = site.id;
+    e.kind = ProbeEvent::kBlock;
+    if (cur.pos == cur.end) {
+        detail::flushBatch();
     }
-    g_sink->onBlock(site);
 }
 
-/** Emits a block + conditional-branch event with layout polarity applied.
- *  Batched, this is a single fused record (one dispatch per branch site);
- *  per-event it remains the onBlock + onBranch pair. */
+/** Emits a block + conditional-branch event with layout polarity applied,
+ *  as a single fused record (the default replay delivers it as the
+ *  onBlock + onBranch pair). */
 inline void
 branch(const CodeSite& site, bool taken)
 {
     if (g_sink == nullptr) {
         return;
     }
-    const bool direction = taken != site.invert;
     detail::BatchCursor& cur = detail::g_cursor;
-    if (cur.pos != nullptr) {
-        ProbeEvent& e = *cur.pos++;
-        e.aux = site.id;
-        e.kind = ProbeEvent::kBlockBranch;
-        e.flags = direction ? 1 : 0;
-        if (cur.pos == cur.end) {
-            detail::flushBatch();
-        }
-        return;
+    ProbeEvent& e = *cur.pos++;
+    e.aux = site.id;
+    e.kind = ProbeEvent::kBlockBranch;
+    e.flags = taken != site.invert ? 1 : 0;
+    if (cur.pos == cur.end) {
+        detail::flushBatch();
     }
-    g_sink->onBlock(site);
-    g_sink->onBranch(site, direction);
 }
 
 /** Emits a data-load event. */
@@ -360,17 +333,13 @@ load(uint64_t addr, uint32_t bytes)
         return;
     }
     detail::BatchCursor& cur = detail::g_cursor;
-    if (cur.pos != nullptr) {
-        ProbeEvent& e = *cur.pos++;
-        e.addr = addr;
-        e.aux = bytes;
-        e.kind = ProbeEvent::kLoad;
-        if (cur.pos == cur.end) {
-            detail::flushBatch();
-        }
-        return;
+    ProbeEvent& e = *cur.pos++;
+    e.addr = addr;
+    e.aux = bytes;
+    e.kind = ProbeEvent::kLoad;
+    if (cur.pos == cur.end) {
+        detail::flushBatch();
     }
-    g_sink->onLoad(addr, bytes);
 }
 
 /** Emits a data-store event. */
@@ -381,17 +350,13 @@ store(uint64_t addr, uint32_t bytes)
         return;
     }
     detail::BatchCursor& cur = detail::g_cursor;
-    if (cur.pos != nullptr) {
-        ProbeEvent& e = *cur.pos++;
-        e.addr = addr;
-        e.aux = bytes;
-        e.kind = ProbeEvent::kStore;
-        if (cur.pos == cur.end) {
-            detail::flushBatch();
-        }
-        return;
+    ProbeEvent& e = *cur.pos++;
+    e.addr = addr;
+    e.aux = bytes;
+    e.kind = ProbeEvent::kStore;
+    if (cur.pos == cur.end) {
+        detail::flushBatch();
     }
-    g_sink->onStore(addr, bytes);
 }
 
 /**

@@ -18,6 +18,7 @@
  * via monotone completion times.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -66,14 +67,6 @@ struct CoreParams
                                   ///< current trace::CodeSite.
     uint64_t phase_window = 0;    ///< Cumulative-counter snapshot every N
                                   ///< retired instructions (0 = off).
-
-    /** Test-only: step the model one retired instruction at a time and
-     *  walk every fetch line through the full cache path, as the model
-     *  did before the event-driven fast-forward (DESIGN.md §13). The
-     *  differential suite and the microbench's model-sink gate run the
-     *  same stream through both paths and require bit-identical
-     *  CoreStats/SiteUarch; production code never sets this. */
-    bool reference_stepping = false;
 };
 
 /**
@@ -188,7 +181,7 @@ struct CoreStats
 
 /**
  * The core model; attach with trace::setSink(&model), run the workload,
- * then call finish().
+ * detach, then call finish().
  */
 class CoreModel : public trace::ProbeSink
 {
@@ -201,10 +194,10 @@ class CoreModel : public trace::ProbeSink
     void onLoad(uint64_t addr, uint32_t bytes) override;
     void onStore(uint64_t addr, uint32_t bytes) override;
 
-    /** Consumes a batch in one loop with no per-event virtual dispatch
-     *  (the test-only reference path replays the per-event virtuals).
-     *  Records are handled in order by the per-event path's handlers, so
-     *  the resulting CoreStats are bit-identical. */
+    /** Consumes a batch in one loop with no per-event virtual dispatch.
+     *  Records are handled in order by the same handlers the per-event
+     *  entry points run, so the result does not depend on how the stream
+     *  is split into batches. */
     void onBatch(const trace::ProbeEvent* events, size_t count) override;
 
     /** Finalizes accounting and returns the statistics. */
@@ -234,7 +227,11 @@ class CoreModel : public trace::ProbeSink
      *  when phase_window is 0. */
     const std::vector<PhaseSample>& phaseSamples() const { return phase_; }
 
-  private:
+  protected:
+    // Protected rather than private: the test-only instruction-stepped
+    // oracle (tests/support/reference_core.h) is a subclass that steps
+    // this same state through its own event handlers.
+
     enum class StallCause : uint8_t
     {
         Frontend,
@@ -273,7 +270,7 @@ class CoreModel : public trace::ProbeSink
     /** Dispatches `count` retiring instructions (handles cycle rollover
      *  and frontend-availability stalls). Event-driven: the whole span
      *  advances in closed form — see DESIGN.md §13 for the argument
-     *  that this is bit-exact vs the stepped reference path. */
+     *  that this is bit-exact vs the instruction-stepped oracle. */
     void dispatch(uint32_t count);
 
     /** The production event handlers. The virtual per-event entry points
@@ -283,16 +280,6 @@ class CoreModel : public trace::ProbeSink
     void modelBranch(const trace::CodeSite& site, bool taken);
     void modelLoad(uint64_t addr, uint32_t bytes);
     void modelStore(uint64_t addr, uint32_t bytes);
-
-    /** The pre-fast-forward implementations, retained verbatim for the
-     *  differential suite (CoreParams::reference_stepping). They drain
-     *  the windows eagerly, on every cycle the clock reaches. */
-    void referenceDispatch(uint32_t count);
-    void referenceResolveFrontend();
-    void referenceOnBlock(const trace::CodeSite& site);
-    void referenceOnBranch(const trace::CodeSite& site, bool taken);
-    void referenceOnLoad(uint64_t addr, uint32_t bytes);
-    void referenceOnStore(uint64_t addr, uint32_t bytes);
 
     /** The fetch plan for `site` (built or rebuilt on demand). */
     SiteFetchPlan& planFor(const trace::CodeSite& site);
@@ -387,11 +374,6 @@ class CoreModel : public trace::ProbeSink
      *  demand like attr_sites_). */
     std::vector<SiteFetchPlan> plans_;
 
-    /** CoreParams::reference_stepping, hoisted: one predictable branch
-     *  per event entry point, and one per batch, selects the retained
-     *  path. */
-    bool reference_stepping_ = false;
-
     CoreStats stats_;
     bool finished_ = false;
 
@@ -412,16 +394,84 @@ class CoreModel : public trace::ProbeSink
     uint64_t next_phase_ = UINT64_MAX;
 };
 
-/** Runs a callable under this core model and returns its stats. The model
- *  attaches with the process default batch capacity (see
- *  trace::defaultBatchCapacity); detaching flushes any pending events
- *  before finish() reads the state. */
+// The window admission checks and pushes are defined here, inline, so
+// both the production handlers and the test-only oracle subclass compile
+// them into their hot paths.
+
+inline void
+CoreModel::ensureRobSpace(uint32_t count)
+{
+    if (rob_count_ + count > static_cast<uint64_t>(params_.rob_size)) {
+        waitForSpace(rob_, rob_count_, params_.rob_size, count, true,
+                     stats_.slots_rob_stall);
+    }
+}
+
+inline void
+CoreModel::ensureRsSpace(uint32_t count)
+{
+    // With issue_at_dispatch rsPush() keeps the RS empty, and no caller
+    // asks for more than rs_size entries, so this never stalls.
+    if (rs_count_ + count > static_cast<uint64_t>(params_.rs_size)) {
+        waitForSpace(rs_, rs_count_, params_.rs_size, count, true,
+                     stats_.slots_rs_stall);
+    }
+}
+
+inline void
+CoreModel::ensureSbSpace(uint32_t count)
+{
+    // The paper groups store-buffer stalls under core bound (Fig 5e-h
+    // discussion), so a full SB never stalls as backend-memory.
+    if (sb_count_ + count > static_cast<uint64_t>(params_.sb_size)) {
+        waitForSpace(sb_, sb_count_, params_.sb_size, count, false,
+                     stats_.slots_sb_stall);
+    }
+}
+
+inline void
+CoreModel::robPush(uint64_t complete, uint32_t count, bool is_mem)
+{
+    // In-order retirement: completion times are made monotone so an entry
+    // cannot retire before its predecessors. The new time is after
+    // cur_cycle_, so it never coalesces into an expired entry.
+    complete = std::max(complete, rob_last_complete_);
+    rob_last_complete_ = complete;
+    if (!rob_.empty() && rob_.back().time == complete
+        && rob_.back().is_mem == is_mem) {
+        rob_.back().count += count;
+    } else {
+        rob_.push_back({complete, count, is_mem});
+    }
+    rob_count_ += count;
+}
+
+inline void
+CoreModel::rsPush(uint64_t free, uint32_t count, bool is_mem)
+{
+    if (params_.issue_at_dispatch) {
+        return; // be_op2: instructions leave the RS immediately.
+    }
+    free = std::max(free, rs_last_free_);
+    rs_last_free_ = free;
+    if (!rs_.empty() && rs_.back().time == free
+        && rs_.back().is_mem == is_mem) {
+        rs_.back().count += count;
+    } else {
+        rs_.push_back({free, count, is_mem});
+    }
+    rs_count_ += count;
+}
+
+/** Runs a callable under this core model and returns its stats.
+ *  Detaching flushes any pending events before finish() reads the
+ *  state. */
 template <typename Workload>
 CoreStats
 simulate(const CoreParams& params, Workload&& workload)
 {
     CoreModel model(params);
-    trace::setSink(&model, trace::defaultBatchCapacity());
+    trace::setSink(&model);
     workload();
     trace::setSink(nullptr);
     return model.finish();

@@ -165,7 +165,12 @@ TEST(Cli, ParsesFlagsAndPositionals)
 {
     const char* argv[] = {"prog",      "--alpha=3", "--beta", "7",
                           "positional", "--flag"};
-    Cli cli(6, argv);
+    Cli cli(6, argv,
+            {{"alpha", FlagKind::Int},
+             {"beta", FlagKind::Int},
+             {"flag", FlagKind::Switch},
+             {"missing", FlagKind::Int}},
+            /*positionals=*/true);
     EXPECT_EQ(cli.num("alpha", 0), 3);
     EXPECT_EQ(cli.num("beta", 0), 7);
     EXPECT_TRUE(cli.has("flag"));
@@ -178,10 +183,95 @@ TEST(Cli, ParsesFlagsAndPositionals)
 TEST(Cli, RealAndStringValues)
 {
     const char* argv[] = {"prog", "--ratio=2.5", "--name", "vbench"};
-    Cli cli(4, argv);
+    Cli cli(4, argv,
+            {{"ratio", FlagKind::Real},
+             {"name", FlagKind::Text},
+             {"other", FlagKind::Text}});
     EXPECT_DOUBLE_EQ(cli.real("ratio", 0.0), 2.5);
     EXPECT_EQ(cli.str("name", ""), "vbench");
     EXPECT_EQ(cli.str("other", "dflt"), "dflt");
+}
+
+/** The flags the strictness cases below declare. */
+FlagList
+strictFlags()
+{
+    return {{"jobs", FlagKind::Int},
+            {"seconds", FlagKind::Real},
+            {"video", FlagKind::Text},
+            {"quiet", FlagKind::Switch}};
+}
+
+TEST(Cli, UnknownFlagExitsNamingIt)
+{
+    // A stale flag must fail before any work, not be silently ignored.
+    const char* stale[] = {"prog", "--per-event", "--quiet"};
+    EXPECT_EXIT(Cli(3, stale, strictFlags()),
+                ::testing::ExitedWithCode(1), "unknown flag --per-event");
+    const char* bogus[] = {"prog", "--bogus-flag=3"};
+    EXPECT_EXIT(Cli(2, bogus, strictFlags()),
+                ::testing::ExitedWithCode(1), "unknown flag --bogus-flag");
+}
+
+TEST(Cli, NonNumericValueExitsNamingTheFlag)
+{
+    const char* bad_int[] = {"prog", "--jobs", "four"};
+    EXPECT_EXIT(Cli(3, bad_int, strictFlags()),
+                ::testing::ExitedWithCode(1), "flag --jobs needs <integer>");
+    const char* trailing[] = {"prog", "--jobs=4x"};
+    EXPECT_EXIT(Cli(2, trailing, strictFlags()),
+                ::testing::ExitedWithCode(1), "flag --jobs");
+    const char* bad_real[] = {"prog", "--seconds", "0.1s"};
+    EXPECT_EXIT(Cli(3, bad_real, strictFlags()),
+                ::testing::ExitedWithCode(1), "flag --seconds needs <number>");
+    const char* empty[] = {"prog", "--seconds="};
+    EXPECT_EXIT(Cli(2, empty, strictFlags()),
+                ::testing::ExitedWithCode(1), "flag --seconds");
+}
+
+TEST(Cli, MalformedValuesAndStrayArgumentsExit)
+{
+    const char* missing[] = {"prog", "--video"};
+    EXPECT_EXIT(Cli(2, missing, strictFlags()),
+                ::testing::ExitedWithCode(1), "flag --video needs a value");
+    const char* flag_as_value[] = {"prog", "--video", "--quiet"};
+    EXPECT_EXIT(Cli(3, flag_as_value, strictFlags()),
+                ::testing::ExitedWithCode(1), "flag --video needs a value");
+    const char* switch_value[] = {"prog", "--quiet=yes"};
+    EXPECT_EXIT(Cli(2, switch_value, strictFlags()),
+                ::testing::ExitedWithCode(1), "flag --quiet takes no value");
+    // A switch never swallows the next token, so a stray value after it
+    // is an unexpected positional argument.
+    const char* stray[] = {"prog", "--quiet", "3"};
+    EXPECT_EXIT(Cli(3, stray, strictFlags()),
+                ::testing::ExitedWithCode(1), "unexpected argument '3'");
+}
+
+TEST(Cli, HelpIsAcceptedEverywhere)
+{
+    const char* help[] = {"prog", "--jobs", "2", "--help", "--bogus"};
+    EXPECT_EXIT(Cli(5, help, strictFlags()), ::testing::ExitedWithCode(0),
+                "");
+    const char* help_only[] = {"prog", "--help"};
+    EXPECT_EXIT(Cli(2, help_only, {}), ::testing::ExitedWithCode(0), "");
+}
+
+TEST(Cli, NegativeAndExponentValuesParse)
+{
+    const char* argv[] = {"prog", "--jobs", "-1", "--seconds", "1e-1"};
+    const Cli cli(5, argv, strictFlags());
+    EXPECT_EQ(cli.num("jobs", 0), -1);
+    EXPECT_DOUBLE_EQ(cli.real("seconds", 0.0), 0.1);
+    EXPECT_FALSE(cli.has("quiet"));
+    EXPECT_EQ(cli.str("video", "cat"), "cat");
+}
+
+TEST(Cli, ReadingAnUndeclaredFlagIsAProgrammingError)
+{
+    const char* argv[] = {"prog"};
+    const Cli cli(1, argv, strictFlags());
+    EXPECT_DEATH(cli.num("seconds", 0), "did not declare");
+    EXPECT_DEATH(cli.has("per-event"), "did not declare");
 }
 
 } // namespace

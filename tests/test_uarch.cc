@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 
 #include "common/rng.h"
+#include "tests/support/reference_core.h"
 #include "trace/probe.h"
 #include "uarch/branch.h"
 #include "uarch/cache.h"
@@ -479,11 +481,12 @@ TEST(RingBuffer, MatchesDequeUnderRandomOperations)
     EXPECT_TRUE(ring.empty());
 }
 
-// ---- Batched dispatch vs per-event (bit-identity) -------------------------
+// ---- Batch capacity (bit-identity) ----------------------------------------
 
-/** The satellite regression: a branch-heavy kernel (where the fused
- *  kBlockBranch record carries the direction) must produce bit-identical
- *  CoreStats through the batched pipeline at any capacity. */
+/** A branch-heavy kernel (where the fused kBlockBranch record carries the
+ *  direction) must produce bit-identical CoreStats at any batch capacity:
+ *  capacity 2 flushes after every other record, 256 is the production
+ *  default. */
 TEST(CoreBatch, BranchHeavyStatsAreBitIdentical)
 {
     auto run = [](uint32_t batch_capacity) {
@@ -506,36 +509,35 @@ TEST(CoreBatch, BranchHeavyStatsAreBitIdentical)
         return model.finish();
     };
 
-    const CoreStats per_event = run(0);
-    EXPECT_GT(per_event.branches, 100000u);
-    EXPECT_GT(per_event.branch_mispredicts, 0u);
-    // Capacity 3: constant wraparound; 256: the production default.
+    const CoreStats wrapping = run(2);
+    EXPECT_GT(wrapping.branches, 100000u);
+    EXPECT_GT(wrapping.branch_mispredicts, 0u);
     for (uint32_t capacity : {3u, 64u, 256u}) {
         const CoreStats batched = run(capacity);
-        EXPECT_EQ(batched.instructions, per_event.instructions);
-        EXPECT_EQ(batched.cycles, per_event.cycles);
-        EXPECT_EQ(batched.branches, per_event.branches);
+        EXPECT_EQ(batched.instructions, wrapping.instructions);
+        EXPECT_EQ(batched.cycles, wrapping.cycles);
+        EXPECT_EQ(batched.branches, wrapping.branches);
         EXPECT_EQ(batched.branch_mispredicts,
-                  per_event.branch_mispredicts);
-        EXPECT_EQ(batched.l1d_accesses, per_event.l1d_accesses);
-        EXPECT_EQ(batched.l1d_misses, per_event.l1d_misses);
-        EXPECT_EQ(batched.l2_misses, per_event.l2_misses);
-        EXPECT_EQ(batched.l3_misses, per_event.l3_misses);
-        EXPECT_EQ(batched.l1i_accesses, per_event.l1i_accesses);
-        EXPECT_EQ(batched.l1i_misses, per_event.l1i_misses);
-        EXPECT_EQ(batched.itlb_misses, per_event.itlb_misses);
-        EXPECT_EQ(batched.btb_misses, per_event.btb_misses);
-        EXPECT_EQ(batched.slots_total, per_event.slots_total);
-        EXPECT_EQ(batched.slots_retiring, per_event.slots_retiring);
-        EXPECT_EQ(batched.slots_frontend, per_event.slots_frontend);
-        EXPECT_EQ(batched.slots_bad_spec, per_event.slots_bad_spec);
+                  wrapping.branch_mispredicts);
+        EXPECT_EQ(batched.l1d_accesses, wrapping.l1d_accesses);
+        EXPECT_EQ(batched.l1d_misses, wrapping.l1d_misses);
+        EXPECT_EQ(batched.l2_misses, wrapping.l2_misses);
+        EXPECT_EQ(batched.l3_misses, wrapping.l3_misses);
+        EXPECT_EQ(batched.l1i_accesses, wrapping.l1i_accesses);
+        EXPECT_EQ(batched.l1i_misses, wrapping.l1i_misses);
+        EXPECT_EQ(batched.itlb_misses, wrapping.itlb_misses);
+        EXPECT_EQ(batched.btb_misses, wrapping.btb_misses);
+        EXPECT_EQ(batched.slots_total, wrapping.slots_total);
+        EXPECT_EQ(batched.slots_retiring, wrapping.slots_retiring);
+        EXPECT_EQ(batched.slots_frontend, wrapping.slots_frontend);
+        EXPECT_EQ(batched.slots_bad_spec, wrapping.slots_bad_spec);
         EXPECT_EQ(batched.slots_backend_memory,
-                  per_event.slots_backend_memory);
+                  wrapping.slots_backend_memory);
         EXPECT_EQ(batched.slots_backend_core,
-                  per_event.slots_backend_core);
-        EXPECT_EQ(batched.slots_rob_stall, per_event.slots_rob_stall);
-        EXPECT_EQ(batched.slots_rs_stall, per_event.slots_rs_stall);
-        EXPECT_EQ(batched.slots_sb_stall, per_event.slots_sb_stall);
+                  wrapping.slots_backend_core);
+        EXPECT_EQ(batched.slots_rob_stall, wrapping.slots_rob_stall);
+        EXPECT_EQ(batched.slots_rs_stall, wrapping.slots_rs_stall);
+        EXPECT_EQ(batched.slots_sb_stall, wrapping.slots_sb_stall);
     }
 }
 
@@ -558,7 +560,8 @@ const std::vector<int> kLoadDependentMix = {2, 2, 2, 4, 4, 4, 1, 5};
 
 /** Drives a deterministic pseudo-random probe stream — blocks of several
  *  sizes (some load-dependent), hard and learnable branches, loads over a
- *  wandering working set, stores — through one CoreModel. */
+ *  wandering working set, stores — through one CoreModel, or through the
+ *  instruction-stepped ReferenceCoreModel when `reference` is set. */
 DiffRun
 runProbeStream(CoreParams params, bool reference, uint32_t batch,
                const std::vector<int>& mix = kBalancedMix)
@@ -568,8 +571,10 @@ runProbeStream(CoreParams params, bool reference, uint32_t batch,
     VT_SITE(blk_c, "coretest.diff.blk_c", 200, 23, BlockLoadDep);
     VT_SITE(br_a, "coretest.diff.br_a", 16, 2, Branch);
     VT_SITE(br_b, "coretest.diff.br_b", 12, 1, BranchLoadDep);
-    params.reference_stepping = reference;
-    CoreModel model(params);
+    const std::unique_ptr<CoreModel> owned =
+        reference ? std::make_unique<ReferenceCoreModel>(params)
+                  : std::make_unique<CoreModel>(params);
+    CoreModel& model = *owned;
     trace::setSink(&model, batch);
     Rng rng(0xd1ffe4e57ull);
     uint64_t addr = 0x700000000ull;
@@ -687,10 +692,10 @@ expectSameRun(const DiffRun& opt, const DiffRun& ref,
     }
 }
 
-/** The tentpole's differential suite: the fast-forward model must be
- *  bit-identical to the retained stepped reference across dispatch
- *  widths, every Table IV row, batched and per-event delivery, and all
- *  four instrumentation states (attribution x phase sampling — each
+/** The differential suite: the fast-forward model must be bit-identical
+ *  to the instruction-stepped ReferenceCoreModel across dispatch widths,
+ *  every Table IV row, a wrap-heavy and the default batch capacity, and
+ *  all four instrumentation states (attribution x phase sampling — each
  *  selects a different dispatch code path). */
 TEST(CoreDifferential, FastForwardMatchesReferenceStepping)
 {
@@ -707,7 +712,7 @@ TEST(CoreDifferential, FastForwardMatchesReferenceStepping)
 
     int combo = 0;
     for (const CoreParams& base : bases) {
-        for (uint32_t batch : {0u, 256u}) {
+        for (uint32_t batch : {3u, 256u}) {
             // Cycle the instrumentation combos so each of the four
             // dispatch paths meets several widths and configs.
             CoreParams p = base;
@@ -767,7 +772,7 @@ TEST(CoreDifferential, SaturatedWindowsMatchReferenceStepping)
                 p.issue_at_dispatch = issue_at_dispatch;
                 p.attribute_sites = (combo & 1) != 0;
                 p.phase_window = (combo & 2) != 0 ? 1000 : 0;
-                const uint32_t batch = combo < 2 ? 256u : 0u;
+                const uint32_t batch = combo < 2 ? 256u : 3u;
                 const std::string what =
                     std::string(mix_name) + " issue_at_dispatch="
                     + std::to_string(issue_at_dispatch)

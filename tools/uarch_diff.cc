@@ -23,7 +23,8 @@ main(int argc, char** argv)
 {
     using namespace vtrans;
 
-    Cli cli(argc, argv);
+    const Cli cli(argc, argv, {{"limit", FlagKind::Int}},
+                  /*positionals=*/true);
     const std::vector<std::string>& paths = cli.positional();
     if (paths.size() != 2) {
         std::fprintf(stderr,
