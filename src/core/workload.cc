@@ -39,12 +39,14 @@ phaseLabel(const RunConfig& config)
 }
 
 /** Post-finish() obs export: fold per-site attribution into the global
- *  report and render phase samples as counter events on the global
- *  tracer. Must run after finish() — the drain charges cycles. */
+ *  report, render phase samples as counter events on the global tracer
+ *  and record the model's schedule. Must run after finish() — the drain
+ *  charges cycles. */
 void
 exportModelObservability(const uarch::CoreModel& model,
                          const RunConfig& config)
 {
+    obs::recordCoreSchedule(model.schedule());
     if (model.attributionEnabled()) {
         obs::mergeAttribution(&obs::hotspotReport(), model);
     }
@@ -107,7 +109,7 @@ runInstrumented(const RunConfig& config)
                             : &model);
     codec::TranscodeResult transcoded =
         codec::transcode(source, config.params);
-    trace::setSink(nullptr); // Flushes any pending events.
+    trace::setSink(nullptr); // Consumes every pending event.
     if (profiled) {
         obs::hotspotReport().merge(profiler);
     }

@@ -205,19 +205,16 @@ HotspotProfiler::onBatch(const trace::ProbeEvent* events, size_t count)
     // Direct batch consumption mirroring the per-event handlers exactly
     // (qualified calls — no virtual dispatch), so every tally matches the
     // default replay bit for bit.
-    trace::SiteRegistry& reg = trace::registry();
     for (size_t i = 0; i < count; ++i) {
         const trace::ProbeEvent& e = events[i];
         switch (e.kind) {
         case trace::ProbeEvent::kBlock:
-            HotspotProfiler::onBlock(reg.site(e.aux));
+            HotspotProfiler::onBlock(*e.site);
             break;
-        case trace::ProbeEvent::kBlockBranch: {
-            const trace::CodeSite& site = reg.site(e.aux);
-            HotspotProfiler::onBlock(site);
-            HotspotProfiler::onBranch(site, (e.flags & 1) != 0);
+        case trace::ProbeEvent::kBlockBranch:
+            HotspotProfiler::onBlock(*e.site);
+            HotspotProfiler::onBranch(*e.site, (e.flags & 1) != 0);
             break;
-        }
         case trace::ProbeEvent::kLoad:
             HotspotProfiler::onLoad(e.addr, e.aux);
             break;

@@ -75,6 +75,9 @@ MetricsRegistry::instrument(const std::string& name, Instrument::Kind kind,
     case Instrument::Kind::Counter:
         inst.counter = std::make_unique<Counter>();
         break;
+    case Instrument::Kind::FloatCounter:
+        inst.float_counter = std::make_unique<FloatCounter>();
+        break;
     case Instrument::Kind::Gauge:
         inst.gauge = std::make_unique<Gauge>();
         break;
@@ -91,6 +94,14 @@ MetricsRegistry::counter(const std::string& name, const std::string& help)
     return *instrument(name, Instrument::Kind::Counter, help).counter;
 }
 
+FloatCounter&
+MetricsRegistry::floatCounter(const std::string& name,
+                              const std::string& help)
+{
+    return *instrument(name, Instrument::Kind::FloatCounter, help)
+                .float_counter;
+}
+
 Gauge&
 MetricsRegistry::gauge(const std::string& name, const std::string& help)
 {
@@ -101,6 +112,21 @@ Histogram&
 MetricsRegistry::histogram(const std::string& name, const std::string& help)
 {
     return *instrument(name, Instrument::Kind::Histogram, help).histogram;
+}
+
+const char*
+MetricsRegistry::typeName(Instrument::Kind kind)
+{
+    switch (kind) {
+    case Instrument::Kind::Counter:
+    case Instrument::Kind::FloatCounter:
+        return "counter";
+    case Instrument::Kind::Gauge:
+        return "gauge";
+    case Instrument::Kind::Histogram:
+        return "summary";
+    }
+    return "untyped";
 }
 
 std::string
@@ -122,20 +148,29 @@ MetricsRegistry::exposition() const
         }
     }
     std::ostringstream os;
+    std::string header; // Base name of the last HELP/TYPE header.
     for (const Row& row : rows) {
-        os << "# HELP " << row.name << " " << row.inst->help << "\n";
+        // Labelled names share their base name's header.
+        const std::string base = row.name.substr(0, row.name.find('{'));
+        if (base != header) {
+            header = base;
+            os << "# HELP " << base << " " << row.inst->help << "\n";
+            os << "# TYPE " << base << " " << typeName(row.inst->kind)
+               << "\n";
+        }
         switch (row.inst->kind) {
         case Instrument::Kind::Counter:
-            os << "# TYPE " << row.name << " counter\n";
             os << row.name << " " << row.inst->counter->value() << "\n";
             break;
+        case Instrument::Kind::FloatCounter:
+            os << row.name << " " << row.inst->float_counter->value()
+               << "\n";
+            break;
         case Instrument::Kind::Gauge:
-            os << "# TYPE " << row.name << " gauge\n";
             os << row.name << " " << row.inst->gauge->value() << "\n";
             break;
         case Instrument::Kind::Histogram: {
             const Histogram& h = *row.inst->histogram;
-            os << "# TYPE " << row.name << " summary\n";
             for (double q : {50.0, 90.0, 99.0}) {
                 os << row.name << "{quantile=\"" << q / 100.0 << "\"} "
                    << h.percentile(q) << "\n";

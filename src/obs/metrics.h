@@ -44,6 +44,25 @@ class Counter
     std::atomic<uint64_t> value_{0};
 };
 
+/** A monotonically increasing real-valued counter, e.g. seconds spent
+ *  (lock-free adds). */
+class FloatCounter
+{
+  public:
+    void add(double delta)
+    {
+        value_.fetch_add(delta, std::memory_order_relaxed);
+    }
+
+    double value() const
+    {
+        return value_.load(std::memory_order_relaxed);
+    }
+
+  private:
+    std::atomic<double> value_{0.0};
+};
+
 /** A gauge holding the latest set value (lock-free). */
 class Gauge
 {
@@ -111,6 +130,11 @@ class Histogram
  * the registry's lifetime. Re-requesting a name returns the existing
  * instrument (the help string of the first registration wins); a name
  * may only ever be one instrument kind.
+ *
+ * A name may end in a Prometheus label set, e.g.
+ * `runs_total{schedule="inline"}`: each labelled name is its own
+ * instrument, and instruments sharing the base name share one HELP/TYPE
+ * header in the exposition.
  */
 class MetricsRegistry
 {
@@ -118,6 +142,10 @@ class MetricsRegistry
     /** Looks up or creates a counter. Name must be metric-legal
      *  ([a-zA-Z_][a-zA-Z0-9_]*), conventionally `*_total`. */
     Counter& counter(const std::string& name, const std::string& help);
+
+    /** Looks up or creates a real-valued counter. */
+    FloatCounter& floatCounter(const std::string& name,
+                               const std::string& help);
 
     /** Looks up or creates a gauge. */
     Gauge& gauge(const std::string& name, const std::string& help);
@@ -136,15 +164,24 @@ class MetricsRegistry
   private:
     struct Instrument
     {
-        enum class Kind : uint8_t { Counter, Gauge, Histogram } kind;
+        enum class Kind : uint8_t {
+            Counter,
+            FloatCounter,
+            Gauge,
+            Histogram
+        } kind;
         std::string help;
         std::unique_ptr<Counter> counter;
+        std::unique_ptr<FloatCounter> float_counter;
         std::unique_ptr<Gauge> gauge;
         std::unique_ptr<Histogram> histogram;
     };
 
     Instrument& instrument(const std::string& name, Instrument::Kind kind,
                            const std::string& help);
+
+    /** The exposition TYPE of an instrument kind. */
+    static const char* typeName(Instrument::Kind kind);
 
     mutable std::mutex mu_;
     std::map<std::string, Instrument> instruments_;

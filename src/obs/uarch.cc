@@ -3,6 +3,8 @@
 #include <atomic>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace vtrans::obs {
 
 namespace {
@@ -161,6 +163,29 @@ emitPhaseCounters(SpanTracer* tracer, const uarch::CoreModel& model,
         tracer->recordCounter(std::move(rates));
         prev = s;
     }
+}
+
+void
+recordCoreSchedule(const uarch::ScheduleStats& schedule)
+{
+    MetricsRegistry& reg = metrics();
+    reg.counter(schedule.pipelined
+                    ? "vtrans_core_runs_total{schedule=\"pipelined\"}"
+                    : "vtrans_core_runs_total{schedule=\"inline\"}",
+                "Instrumented runs by core-model schedule")
+        .inc();
+    const char* help = "Host seconds of each core-model stage, busy or "
+                       "waiting for its input";
+    auto add = [&](const char* labels, double seconds) {
+        reg.floatCounter(
+               std::string("vtrans_core_stage_seconds_total") + labels, help)
+            .add(seconds);
+    };
+    add("{stage=\"memory_branch\",state=\"busy\"}", schedule.memory_busy_s);
+    add("{stage=\"memory_branch\",state=\"wait\"}", schedule.memory_wait_s);
+    add("{stage=\"timing\",state=\"busy\"}", schedule.timing_busy_s);
+    add("{stage=\"timing\",state=\"wait\"}", schedule.timing_wait_s);
+    add("{stage=\"codec\",state=\"wait\"}", schedule.codec_wait_s);
 }
 
 } // namespace vtrans::obs

@@ -9,7 +9,8 @@
  * consult (like setHotspotsEnabled), the merge that folds a finished
  * model's SiteUarch tallies into the HotspotReport, and the phase
  * time-series exporter that renders PhaseSamples as Chrome trace-event
- * counter tracks ("ph":"C") next to the job-lifecycle spans.
+ * counter tracks ("ph":"C") next to the job-lifecycle spans, and the
+ * metrics of how each run's model was scheduled.
  */
 
 #include <cstdint>
@@ -55,6 +56,15 @@ inline constexpr int64_t kPhaseTrackPid = 9;
  *  model has no samples or `tracer` is null. */
 void emitPhaseCounters(SpanTracer* tracer, const uarch::CoreModel& model,
                        const std::string& label);
+
+/** Records how a finished run's core model was scheduled in metrics():
+ *  one `vtrans_core_runs_total{schedule="pipelined"|"inline"}` tick, and
+ *  each stage's busy and wait seconds in
+ *  `vtrans_core_stage_seconds_total{stage=…,state="busy"|"wait"}`
+ *  (stage `memory_branch`, `timing`, or `codec` for the emitting
+ *  thread's waits). The stage with the most busy time bounds a
+ *  pipelined run. */
+void recordCoreSchedule(const uarch::ScheduleStats& schedule);
 
 } // namespace vtrans::obs
 

@@ -38,6 +38,12 @@ setSink(ProbeSink* sink, uint32_t batch_capacity)
               "probe batch capacity must be at least 2, got ",
               batch_capacity);
     flush();
+    ProbeSink* old = g_sink;
+    if (old != nullptr) {
+        // The barrier: pending events are delivered; let the old sink
+        // finish consuming them before anyone reads its results.
+        old->onDetach();
+    }
     g_sink = sink;
     if (sink == nullptr) {
         detail::g_cursor = detail::BatchCursor{};
@@ -63,19 +69,16 @@ flush()
 void
 ProbeSink::onBatch(const ProbeEvent* events, size_t count)
 {
-    SiteRegistry& reg = registry();
     for (size_t i = 0; i < count; ++i) {
         const ProbeEvent& e = events[i];
         switch (e.kind) {
         case ProbeEvent::kBlock:
-            onBlock(reg.site(e.aux));
+            onBlock(*e.site);
             break;
-        case ProbeEvent::kBlockBranch: {
-            const CodeSite& site = reg.site(e.aux);
-            onBlock(site);
-            onBranch(site, (e.flags & 1) != 0);
+        case ProbeEvent::kBlockBranch:
+            onBlock(*e.site);
+            onBranch(*e.site, (e.flags & 1) != 0);
             break;
-        }
         case ProbeEvent::kLoad:
             onLoad(e.addr, e.aux);
             break;
@@ -143,6 +146,14 @@ TeeSink::onBatch(const ProbeEvent* events, size_t count)
     // interleaving between independent sinks is batch-grained.
     for (ProbeSink* sink : sinks_) {
         sink->onBatch(events, count);
+    }
+}
+
+void
+TeeSink::onDetach()
+{
+    for (ProbeSink* sink : sinks_) {
+        sink->onDetach();
     }
 }
 

@@ -23,6 +23,19 @@
  * branch is one fused block+branch record (`ProbeEvent::kBlockBranch`),
  * so branch sites cost a single append.
  *
+ * Block and branch records carry the `const CodeSite*` itself, not only
+ * its id, so a consumer never looks a site up in the registry. That also
+ * makes records safe to hand to another thread: sites live at stable
+ * addresses, while the registry's index grows as `VT_SITE` statics
+ * register lazily on the emitting thread.
+ *
+ * Detach is a barrier. A sink may finish consuming its batches
+ * asynchronously (the core model hands them to pipeline threads), so
+ * `setSink(nullptr)`, or attaching another sink, first delivers the
+ * pending events and then calls the old sink's `onDetach()`, which
+ * returns only once every event has been consumed. Results read right
+ * after detaching are final.
+ *
  * This layer is the stand-in for binary instrumentation / hardware
  * performance counters in the paper's methodology (Intel VTune + Linux
  * perf, §III-B): instead of sampling a real PMU we observe the actual
@@ -77,14 +90,17 @@ struct CodeSite
 struct ProbeEvent
 {
     enum Kind : uint8_t {
-        kBlock = 0,       ///< Block executed. aux = site id.
+        kBlock = 0,       ///< Block executed. site, aux = site id.
         kBlockBranch = 1, ///< Fused block + terminating conditional branch.
-                          ///< aux = site id, flags bit 0 = taken.
+                          ///< site, aux = site id, flags bit 0 = taken.
         kLoad = 2,        ///< Data load. addr = address, aux = bytes.
         kStore = 3,       ///< Data store. addr = address, aux = bytes.
     };
 
-    uint64_t addr;  ///< Load/store simulated address.
+    union {
+        uint64_t addr;        ///< kLoad/kStore: simulated address.
+        const CodeSite* site; ///< kBlock/kBlockBranch: the site itself.
+    };
     uint32_t aux;   ///< Site id (block/branch) or byte count (load/store).
     uint8_t kind;   ///< A Kind value.
     uint8_t flags;  ///< kBlockBranch: bit 0 = taken (post-polarity).
@@ -124,6 +140,14 @@ class ProbeSink
      * per-event virtual dispatch entirely.
      */
     virtual void onBatch(const ProbeEvent* events, size_t count);
+
+    /**
+     * The sink was detached (`setSink`) after its last batch. A sink
+     * that consumes batches asynchronously finishes every delivered
+     * event before returning, so its results are final once `setSink`
+     * returns. The default does nothing.
+     */
+    virtual void onDetach() {}
 };
 
 /**
@@ -163,6 +187,8 @@ class TeeSink : public ProbeSink
     void onLoad(uint64_t addr, uint32_t bytes) override;
     void onStore(uint64_t addr, uint32_t bytes) override;
     void onBatch(const ProbeEvent* events, size_t count) override;
+    /** Detaches every chained sink, in chain order. */
+    void onDetach() override;
 
   private:
     std::vector<ProbeSink*> sinks_;
@@ -274,7 +300,8 @@ defaultBatchCapacity()
  * Events accumulate in a thread-local buffer of `batch_capacity` (>= 2)
  * records and are delivered via `ProbeSink::onBatch`. Pending events of
  * the previously attached sink are flushed to it first, so no event is
- * ever lost.
+ * ever lost, and then its `onDetach()` runs: when this returns, the old
+ * sink has consumed every event.
  */
 void setSink(ProbeSink* sink, uint32_t batch_capacity = kDefaultProbeBatch);
 
@@ -299,6 +326,7 @@ block(const CodeSite& site)
     }
     detail::BatchCursor& cur = detail::g_cursor;
     ProbeEvent& e = *cur.pos++;
+    e.site = &site;
     e.aux = site.id;
     e.kind = ProbeEvent::kBlock;
     if (cur.pos == cur.end) {
@@ -317,6 +345,7 @@ branch(const CodeSite& site, bool taken)
     }
     detail::BatchCursor& cur = detail::g_cursor;
     ProbeEvent& e = *cur.pos++;
+    e.site = &site;
     e.aux = site.id;
     e.kind = ProbeEvent::kBlockBranch;
     e.flags = taken != site.invert ? 1 : 0;

@@ -123,67 +123,31 @@ CacheHierarchy::CacheHierarchy(const CacheParams& l1d,
 }
 
 AccessResult
-CacheHierarchy::missPath(uint64_t addr)
+CacheHierarchy::l1Miss(uint64_t addr)
 {
-    // Shared L2 -> L3 -> (L4) -> memory walk after an L1 miss.
+    // Shared L2 -> L3 -> (L4) -> memory walk after an L1 miss; the L1
+    // lookup's own latency is on top of the level that serves it.
     AccessResult r;
+    r.l1_miss = true;
     if (l2_.access(addr)) {
-        r.latency = lat_.l2;
+        r.latency = lat_.l1 + lat_.l2;
         return r;
     }
     r.l2_miss = true;
     if (l3_.access(addr)) {
-        r.latency = lat_.l3;
+        r.latency = lat_.l1 + lat_.l3;
         return r;
     }
     r.l3_miss = true;
     if (l4_ != nullptr) {
         if (l4_->access(addr)) {
-            r.latency = lat_.l4;
+            r.latency = lat_.l1 + lat_.l4;
             return r;
         }
         r.l4_miss = true;
     }
-    r.latency = lat_.memory;
+    r.latency = lat_.l1 + lat_.memory;
     return r;
-}
-
-AccessResult
-CacheHierarchy::dataMiss(uint64_t addr)
-{
-    AccessResult r = missPath(addr);
-    r.l1_miss = true;
-    r.latency += lat_.l1;
-    return r;
-}
-
-AccessResult
-CacheHierarchy::fetchMiss(uint64_t addr)
-{
-    AccessResult r = missPath(addr);
-    r.l1_miss = true;
-    r.latency += lat_.l1;
-    return r;
-}
-
-int
-CacheHierarchy::dataAccessBytes(uint64_t addr, uint32_t bytes,
-                                AccessResult* worst)
-{
-    const uint32_t line = l1d_.lineBytes();
-    const uint64_t first = addr / line;
-    const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) / line;
-    int max_latency = 0;
-    for (uint64_t l = first; l <= last; ++l) {
-        const AccessResult r = dataAccess(l * line);
-        if (r.latency > max_latency) {
-            max_latency = r.latency;
-            if (worst != nullptr) {
-                *worst = r;
-            }
-        }
-    }
-    return max_latency;
 }
 
 void

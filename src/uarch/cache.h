@@ -202,7 +202,7 @@ class CacheHierarchy
         if (l1d_.access(addr)) {
             return {lat_.l1, false, false, false, false};
         }
-        return dataMiss(addr);
+        return l1Miss(addr);
     }
 
     /** An instruction-fetch access. */
@@ -212,7 +212,7 @@ class CacheHierarchy
         if (l1i_.access(addr)) {
             return {lat_.l1, false, false, false, false};
         }
-        return fetchMiss(addr);
+        return l1Miss(addr);
     }
 
     /** fetchAccess() with the L1i line number already computed (per-site
@@ -223,11 +223,8 @@ class CacheHierarchy
         if (l1i_.accessLine(line)) {
             return {lat_.l1, false, false, false, false};
         }
-        return fetchMiss(line << l1i_.lineShift());
+        return l1Miss(line << l1i_.lineShift());
     }
-
-    /** Spans an access over cache lines: one access per touched line. */
-    int dataAccessBytes(uint64_t addr, uint32_t bytes, AccessResult* worst);
 
     Cache& l1d() { return l1d_; }
     Cache& l1i() { return l1i_; }
@@ -240,13 +237,9 @@ class CacheHierarchy
     void reset();
 
   private:
-    AccessResult missPath(uint64_t addr);
-
-    /** L1d-miss continuation of dataAccess (L2 -> L3 -> L4 -> memory). */
-    AccessResult dataMiss(uint64_t addr);
-
-    /** L1i-miss continuation of fetchAccess/fetchLineAccess. */
-    AccessResult fetchMiss(uint64_t addr);
+    /** The continuation of an L1d or L1i miss through the shared levels
+     *  (L2 -> L3 -> L4 -> memory). */
+    AccessResult l1Miss(uint64_t addr);
 
     Cache l1d_;
     Cache l1i_;

@@ -1,6 +1,14 @@
 #include "uarch/core.h"
 
+#include <sched.h>
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstring>
+#include <thread>
+#include <utility>
 
 #include "common/status.h"
 
@@ -142,15 +150,251 @@ SiteUarch::add(const SiteUarch& other)
     btb_misses += other.btb_misses;
 }
 
-// ---- CoreModel -------------------------------------------------------------
+// ---- CpuClaim --------------------------------------------------------------
 
-CoreModel::CoreModel(const CoreParams& params)
-    : params_(params),
+namespace {
+
+/// CPUs claimed by the instrumented runs of this process.
+std::atomic<int> g_claimed_cpus{0};
+
+} // namespace
+
+CpuClaim::CpuClaim(CpuClaim&& other) noexcept
+    : cpus_(std::exchange(other.cpus_, 0))
+{
+}
+
+CpuClaim&
+CpuClaim::operator=(CpuClaim&& other) noexcept
+{
+    if (this != &other) {
+        release();
+        cpus_ = std::exchange(other.cpus_, 0);
+    }
+    return *this;
+}
+
+CpuClaim
+CpuClaim::hold(int cpus)
+{
+    VT_ASSERT(cpus >= 0, "negative CPU claim: ", cpus);
+    g_claimed_cpus.fetch_add(cpus, std::memory_order_relaxed);
+    return CpuClaim(cpus);
+}
+
+CpuClaim
+CpuClaim::tryHold(int cpus)
+{
+    VT_ASSERT(cpus >= 0, "negative CPU claim: ", cpus);
+    const int limit = usableCpus();
+    int cur = g_claimed_cpus.load(std::memory_order_relaxed);
+    do {
+        if (cur + cpus > limit) {
+            return CpuClaim();
+        }
+    } while (!g_claimed_cpus.compare_exchange_weak(
+        cur, cur + cpus, std::memory_order_relaxed));
+    return CpuClaim(cpus);
+}
+
+int
+CpuClaim::usableCpus()
+{
+    static const int cpus = [] {
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        if (sched_getaffinity(0, sizeof(set), &set) != 0) {
+            return 1;
+        }
+        return std::max(1, CPU_COUNT(&set));
+    }();
+    return cpus;
+}
+
+int
+CpuClaim::claimed()
+{
+    return g_claimed_cpus.load(std::memory_order_relaxed);
+}
+
+void
+CpuClaim::release()
+{
+    if (cpus_ > 0) {
+        g_claimed_cpus.fetch_sub(cpus_, std::memory_order_relaxed);
+        cpus_ = 0;
+    }
+}
+
+// ---- MemoryStage -----------------------------------------------------------
+
+namespace {
+
+/** Out of line, so the hot loops that inline MemoryStage::data() do not
+ *  also inline the message formatting. */
+[[noreturn, gnu::noinline, gnu::cold]] void
+dataSpanTooLong(uint32_t bytes)
+{
+    VT_PANIC("a data access of ", bytes, " bytes spans too many lines");
+}
+
+} // namespace
+
+MemoryStage::MemoryStage(const CoreParams& params)
+    : lat_(params.latencies),
       caches_(params.l1d, params.l1i, params.l2, params.l3, params.l4_size,
               params.latencies),
       itlb_(params.itlb_entries),
       predictor_(makePredictor(params.predictor)),
-      btb_(),
+      btb_()
+{
+    // Outcomes carry latencies and fetch penalties in 16 bits: a miss
+    // costs at most l1 + the slowest level, plus an iTLB miss.
+    for (int latency : {lat_.l1, lat_.l2, lat_.l3, lat_.l4, lat_.memory,
+                        lat_.itlb_miss}) {
+        VT_ASSERT(latency >= 0 && latency <= UINT16_MAX / 3,
+                  "cache latency out of range: ", latency);
+    }
+}
+
+MemoryStage::SiteFetchPlan&
+MemoryStage::planFor(const trace::CodeSite& site)
+{
+    if (site.id >= plans_.size()) {
+        plans_.resize(site.id + 1);
+    }
+    SiteFetchPlan& plan = plans_[site.id];
+    if (plan.address != site.address) {
+        // First sighting, or a relayout pass moved the block.
+        rebuildPlan(plan, site);
+    }
+    return plan;
+}
+
+void
+MemoryStage::rebuildPlan(SiteFetchPlan& plan, const trace::CodeSite& site)
+{
+    const uint32_t shift = caches_.l1i().lineShift();
+    const uint64_t first = site.address >> shift;
+    const uint64_t last = (site.address + site.bytes - 1) >> shift;
+    VT_ASSERT(last - first < UINT16_MAX,
+              "code site spans too many lines: ", site.name);
+    plan.address = site.address;
+    plan.first_line = first;
+    plan.page = site.address >> 12;
+    plan.line_count = static_cast<uint32_t>(last - first + 1);
+    plan.slots.resize(plan.line_count);
+    for (uint32_t k = 0; k < plan.line_count; ++k) {
+        // Seed every hint with way 0 of the line's own set: same-set by
+        // construction, so touchIfResident()'s tag compare is sound from
+        // the first use.
+        plan.slots[k] = caches_.l1i().setBaseSlot(first + k);
+    }
+}
+
+inline MemOutcome
+MemoryStage::block(const trace::CodeSite& site)
+{
+    // Fetch the block's cache lines through L1i and the iTLB, walking the
+    // site's precomputed fetch plan. A line whose resident-way hint still
+    // holds it takes the inline hit arm; anything else falls back to the
+    // full access and refreshes the hint.
+    SiteFetchPlan& plan = planFor(site);
+    Cache& l1i = caches_.l1i();
+    MemOutcome o{};
+    o.lines = static_cast<uint16_t>(plan.line_count);
+    int fetch_penalty = 0;
+    uint32_t* slots = plan.slots.data();
+    for (uint32_t k = 0; k < plan.line_count; ++k) {
+        const uint64_t l = plan.first_line + k;
+        if (l1i.touchIfResident(l, slots[k])) {
+            continue; // L1i hit with exact hit-arm bookkeeping.
+        }
+        const AccessResult r = caches_.fetchLineAccess(l);
+        slots[k] = l1i.mruSlot();
+        if (r.l1_miss) {
+            ++o.l1_misses;
+            fetch_penalty = std::max(fetch_penalty, r.latency - lat_.l1);
+        }
+    }
+    if (!itlb_.accessPage(plan.page)) {
+        o.flags |= MemOutcome::kItlbMiss;
+        fetch_penalty += lat_.itlb_miss;
+    }
+    o.latency = static_cast<uint16_t>(fetch_penalty);
+    return o;
+}
+
+inline void
+MemoryStage::branch(const trace::CodeSite& site, bool taken, MemOutcome& o)
+{
+    // One devirtualizable call per branch instead of the predict() +
+    // update() virtual pair; behaviour is identical by construction.
+    const bool predicted = predictor_->predictAndUpdate(site.address, taken);
+    if (predicted) {
+        o.flags |= MemOutcome::kPredicted;
+    }
+    // Only a correctly predicted taken branch redirects through the BTB.
+    if (predicted && taken && btb_.access(site.address)) {
+        o.flags |= MemOutcome::kBtbHit;
+    }
+}
+
+inline MemOutcome
+MemoryStage::data(uint64_t addr, uint32_t bytes)
+{
+    // Line span via shifts: line sizes are asserted powers of two, and
+    // unsigned divide/multiply by 2^k is exactly shift by k — this only
+    // dodges the hardware divide the / form costs per event. Stores
+    // write-allocate, so loads and stores walk the hierarchy alike.
+    const uint32_t shift = caches_.l1d().lineShift();
+    const uint64_t first = addr >> shift;
+    const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) >> shift;
+    if (last - first >= UINT16_MAX) [[unlikely]] {
+        dataSpanTooLong(bytes);
+    }
+    MemOutcome o{};
+    o.lines = static_cast<uint16_t>(last - first + 1);
+    int latency = lat_.l1;
+    for (uint64_t l = first; l <= last; ++l) {
+        const AccessResult r = caches_.dataAccess(l << shift);
+        o.l1_misses += r.l1_miss ? 1 : 0;
+        o.l2_misses += r.l2_miss ? 1 : 0;
+        o.l3_misses += r.l3_miss ? 1 : 0;
+        latency = std::max(latency, r.latency);
+    }
+    o.latency = static_cast<uint16_t>(latency);
+    return o;
+}
+
+[[gnu::flatten]] void
+MemoryStage::run(const trace::ProbeEvent* events, MemOutcome* out,
+                 size_t count)
+{
+    for (size_t i = 0; i < count; ++i) {
+        const trace::ProbeEvent& e = events[i];
+        switch (e.kind) {
+        case trace::ProbeEvent::kBlock:
+            out[i] = block(*e.site);
+            break;
+        case trace::ProbeEvent::kBlockBranch:
+            out[i] = block(*e.site);
+            branch(*e.site, (e.flags & 1) != 0, out[i]);
+            break;
+        case trace::ProbeEvent::kLoad:
+        case trace::ProbeEvent::kStore:
+            out[i] = data(e.addr, e.aux);
+            break;
+        default:
+            VT_PANIC("corrupt probe event kind ", static_cast<int>(e.kind));
+        }
+    }
+}
+
+// ---- TimingStage -----------------------------------------------------------
+
+TimingStage::TimingStage(const CoreParams& params)
+    : params_(params),
       // Window rings hold at most one coalesced entry per occupant, so
       // reserving the modelled structure size up front means pushes never
       // reallocate: even with lazy draining, occupancy (stale entries
@@ -175,7 +419,7 @@ CoreModel::CoreModel(const CoreParams& params)
 }
 
 SiteUarch&
-CoreModel::attrAt(uint32_t site_id)
+TimingStage::attrAt(uint32_t site_id)
 {
     if (site_id >= attr_sites_.size()) {
         attr_sites_.resize(site_id + 1);
@@ -184,7 +428,7 @@ CoreModel::attrAt(uint32_t site_id)
 }
 
 void
-CoreModel::capturePhase()
+TimingStage::capturePhase()
 {
     PhaseSample s;
     s.instructions = stats_.instructions;
@@ -205,7 +449,7 @@ CoreModel::capturePhase()
 }
 
 void
-CoreModel::advanceTo(uint64_t target_cycle, StallCause cause)
+TimingStage::advanceTo(uint64_t target_cycle, StallCause cause)
 {
     if (target_cycle <= cur_cycle_) {
         return;
@@ -248,7 +492,7 @@ CoreModel::advanceTo(uint64_t target_cycle, StallCause cause)
 }
 
 void
-CoreModel::drain()
+TimingStage::drain()
 {
     while (!rob_.empty() && rob_.front().time <= cur_cycle_) {
         rob_count_ -= rob_.front().count;
@@ -265,7 +509,7 @@ CoreModel::drain()
 }
 
 void
-CoreModel::dispatch(uint32_t count)
+TimingStage::dispatch(uint32_t count)
 {
     // Event-driven fast-forward (DESIGN.md §13). Two facts make a
     // closed-form advance bit-exact vs the stepped reference loop:
@@ -352,7 +596,7 @@ CoreModel::dispatch(uint32_t count)
 }
 
 void
-CoreModel::waitForSpace(const RingBuffer<WindowEntry>& window,
+TimingStage::waitForSpace(const RingBuffer<WindowEntry>& window,
                         const uint64_t& occupancy, uint64_t size,
                         uint32_t count, bool memory_cause,
                         uint64_t& stall_slots)
@@ -376,7 +620,7 @@ CoreModel::waitForSpace(const RingBuffer<WindowEntry>& window,
 }
 
 inline void
-CoreModel::sbPush(uint64_t drain_time, uint32_t count)
+TimingStage::sbPush(uint64_t drain_time, uint32_t count)
 {
     // Stores drain in order: drain times are made monotone like ROB
     // completion times, and same-cycle drains coalesce into one entry.
@@ -391,93 +635,51 @@ CoreModel::sbPush(uint64_t drain_time, uint32_t count)
 }
 
 inline void
-CoreModel::resolveFrontend()
+TimingStage::resolveFrontend()
 {
     if (fetch_ready_ > cur_cycle_) {
         advanceTo(fetch_ready_, fetch_reason_);
     }
 }
 
-CoreModel::SiteFetchPlan&
-CoreModel::planFor(const trace::CodeSite& site)
+inline void
+TimingStage::chargeData(const MemOutcome& o)
 {
-    if (site.id >= plans_.size()) {
-        plans_.resize(site.id + 1);
-    }
-    SiteFetchPlan& plan = plans_[site.id];
-    if (plan.address != site.address) {
-        // First sighting, or a relayout pass moved the block.
-        rebuildPlan(plan, site);
-    }
-    return plan;
-}
-
-void
-CoreModel::rebuildPlan(SiteFetchPlan& plan, const trace::CodeSite& site)
-{
-    const uint32_t line_bytes = params_.l1i.line_bytes;
-    const uint64_t first = site.address / line_bytes;
-    const uint64_t last = (site.address + site.bytes - 1) / line_bytes;
-    plan.address = site.address;
-    plan.first_line = first;
-    plan.page = site.address >> 12;
-    plan.line_count = static_cast<uint32_t>(last - first + 1);
-    plan.slots.resize(plan.line_count);
-    for (uint32_t k = 0; k < plan.line_count; ++k) {
-        // Seed every hint with way 0 of the line's own set: same-set by
-        // construction, so touchIfResident()'s tag compare is sound from
-        // the first use.
-        plan.slots[k] = caches_.l1i().setBaseSlot(first + k);
+    stats_.l1d_accesses += o.lines;
+    stats_.l1d_misses += o.l1_misses;
+    stats_.l2_misses += o.l2_misses;
+    stats_.l3_misses += o.l3_misses;
+    if (attr_cur_ != nullptr) {
+        attr_cur_->l1d_accesses += o.lines;
+        attr_cur_->l1d_misses += o.l1_misses;
+        attr_cur_->l2_misses += o.l2_misses;
+        attr_cur_->l3_misses += o.l3_misses;
     }
 }
 
 inline void
-CoreModel::modelBlock(const trace::CodeSite& site)
+TimingStage::block(const trace::CodeSite& site, const MemOutcome& o)
 {
     if (attr_cur_ != nullptr) {
         attr_cur_ = &attrAt(site.id);
     }
-    // Frontend: fetch the block's cache lines through L1i and the iTLB,
-    // walking the site's precomputed fetch plan. A line whose resident-
-    // way hint still holds it takes the inline hit arm; anything else
-    // falls back to the full access and refreshes the hint. Counter
-    // order within the fetch phase is not observable (the next possible
-    // observation point is dispatch), so the access tallies post in bulk.
-    SiteFetchPlan& plan = planFor(site);
-    Cache& l1i = caches_.l1i();
-    const uint32_t lines = plan.line_count;
-    stats_.l1i_accesses += lines;
+    // Frontend: charge the fetch the memory stage walked. Counter order
+    // within the fetch phase is not observable (the next possible
+    // observation point is dispatch), so the tallies post in bulk.
+    stats_.l1i_accesses += o.lines;
+    stats_.l1i_misses += o.l1_misses;
     if (attr_cur_ != nullptr) {
-        attr_cur_->l1i_accesses += lines;
+        attr_cur_->l1i_accesses += o.lines;
+        attr_cur_->l1i_misses += o.l1_misses;
     }
-    int fetch_penalty = 0;
-    uint32_t* slots = plan.slots.data();
-    for (uint32_t k = 0; k < lines; ++k) {
-        const uint64_t l = plan.first_line + k;
-        if (l1i.touchIfResident(l, slots[k])) {
-            continue; // L1i hit with exact hit-arm bookkeeping.
-        }
-        const AccessResult r = caches_.fetchLineAccess(l);
-        slots[k] = l1i.mruSlot();
-        if (r.l1_miss) {
-            ++stats_.l1i_misses;
-            if (attr_cur_ != nullptr) {
-                ++attr_cur_->l1i_misses;
-            }
-            fetch_penalty =
-                std::max(fetch_penalty,
-                         r.latency - params_.latencies.l1);
-        }
-    }
-    if (!itlb_.accessPage(plan.page)) {
+    if ((o.flags & MemOutcome::kItlbMiss) != 0) {
         ++stats_.itlb_misses;
         if (attr_cur_ != nullptr) {
             ++attr_cur_->itlb_misses;
         }
-        fetch_penalty += params_.latencies.itlb_miss;
     }
-    if (fetch_penalty > 0) {
-        const uint64_t ready = cur_cycle_ + fetch_penalty;
+    if (o.latency > 0) {
+        const uint64_t ready = cur_cycle_ + o.latency;
         if (ready > fetch_ready_) {
             fetch_ready_ = ready;
             fetch_reason_ = StallCause::Frontend;
@@ -512,17 +714,15 @@ CoreModel::modelBlock(const trace::CodeSite& site)
 }
 
 inline void
-CoreModel::modelBranch(const trace::CodeSite& site, bool taken)
+TimingStage::branch(const trace::CodeSite& site, bool taken,
+                    const MemOutcome& o)
 {
     if (attr_cur_ != nullptr) {
         attr_cur_ = &attrAt(site.id);
         ++attr_cur_->branches;
     }
     ++stats_.branches;
-    // One devirtualizable call per branch instead of the predict() +
-    // update() virtual pair; behaviour is identical by construction.
-    const bool predicted =
-        predictor_->predictAndUpdate(site.address, taken);
+    const bool predicted = (o.flags & MemOutcome::kPredicted) != 0;
 
     resolveFrontend();
     ensureRobSpace(1);
@@ -553,7 +753,7 @@ CoreModel::modelBranch(const trace::CodeSite& site, bool taken)
         }
     } else if (taken) {
         // Correctly predicted taken: redirect bubble, larger on BTB miss.
-        const bool btb_hit = btb_.access(site.address);
+        const bool btb_hit = (o.flags & MemOutcome::kBtbHit) != 0;
         if (!btb_hit) {
             ++stats_.btb_misses;
             if (attr_cur_ != nullptr) {
@@ -571,38 +771,13 @@ CoreModel::modelBranch(const trace::CodeSite& site, bool taken)
 }
 
 inline void
-CoreModel::modelLoad(uint64_t addr, uint32_t bytes)
+TimingStage::load(const MemOutcome& o)
 {
     resolveFrontend();
     ensureRobSpace(1);
     ensureRsSpace(1);
-    // Line span via shifts: line sizes are asserted powers of two, and
-    // unsigned divide/multiply by 2^k is exactly shift by k — this only
-    // dodges the hardware divide the / form costs per event.
-    const uint32_t shift = caches_.l1d().lineShift();
-    const uint64_t first = addr >> shift;
-    const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) >> shift;
-    int latency = params_.latencies.l1;
-    for (uint64_t l = first; l <= last; ++l) {
-        ++stats_.l1d_accesses;
-        const AccessResult r = caches_.dataAccess(l << shift);
-        if (attr_cur_ != nullptr) {
-            ++attr_cur_->l1d_accesses;
-            attr_cur_->l1d_misses += r.l1_miss ? 1 : 0;
-            attr_cur_->l2_misses += r.l2_miss ? 1 : 0;
-            attr_cur_->l3_misses += r.l3_miss ? 1 : 0;
-        }
-        if (r.l1_miss) {
-            ++stats_.l1d_misses;
-        }
-        if (r.l2_miss) {
-            ++stats_.l2_misses;
-        }
-        if (r.l3_miss) {
-            ++stats_.l3_misses;
-        }
-        latency = std::max(latency, r.latency);
-    }
+    chargeData(o);
+    const int latency = o.latency;
 
     // Miss-status-holding registers bound memory-level parallelism: a
     // miss beyond the outstanding limit starts only when the oldest one
@@ -635,104 +810,42 @@ CoreModel::modelLoad(uint64_t addr, uint32_t bytes)
 }
 
 inline void
-CoreModel::modelStore(uint64_t addr, uint32_t bytes)
+TimingStage::store(const MemOutcome& o)
 {
     resolveFrontend();
     ensureRobSpace(1);
     ensureRsSpace(1);
     ensureSbSpace(1);
-    // Same shift-based line math as onLoad (line sizes are 2^k).
-    const uint32_t shift = caches_.l1d().lineShift();
-    const uint64_t first = addr >> shift;
-    const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) >> shift;
-    int latency = params_.latencies.l1;
-    for (uint64_t l = first; l <= last; ++l) {
-        ++stats_.l1d_accesses;
-        const AccessResult r = caches_.dataAccess(l << shift); // write-alloc
-        if (attr_cur_ != nullptr) {
-            ++attr_cur_->l1d_accesses;
-            attr_cur_->l1d_misses += r.l1_miss ? 1 : 0;
-            attr_cur_->l2_misses += r.l2_miss ? 1 : 0;
-            attr_cur_->l3_misses += r.l3_miss ? 1 : 0;
-        }
-        if (r.l1_miss) {
-            ++stats_.l1d_misses;
-        }
-        if (r.l2_miss) {
-            ++stats_.l2_misses;
-        }
-        if (r.l3_miss) {
-            ++stats_.l3_misses;
-        }
-        latency = std::max(latency, r.latency);
-    }
+    chargeData(o);
 
     // Stores retire promptly but occupy the store buffer until the line
     // is written; a full SB blocks dispatch (space reserved above).
-    sbPush(cur_cycle_ + latency, 1);
+    sbPush(cur_cycle_ + o.latency, 1);
 
     robPush(cur_cycle_ + 1, 1, false);
     rsPush(cur_cycle_ + 1, 1, false);
     dispatch(1);
 }
 
-void
-CoreModel::onBlock(const trace::CodeSite& site)
-{
-    modelBlock(site);
-}
-
-void
-CoreModel::onBranch(const trace::CodeSite& site, bool taken)
-{
-    modelBranch(site, taken);
-}
-
-void
-CoreModel::onLoad(uint64_t addr, uint32_t bytes)
-{
-    modelLoad(addr, bytes);
-}
-
-void
-CoreModel::onStore(uint64_t addr, uint32_t bytes)
-{
-    modelStore(addr, bytes);
-}
-
 [[gnu::flatten]] void
-CoreModel::onBatch(const trace::ProbeEvent* events, size_t count)
+TimingStage::run(const trace::ProbeEvent* events, const MemOutcome* outcomes,
+                 size_t count)
 {
-    // Direct batch consumption: the records are handled in emission order
-    // by the handlers the per-event entry points run, so the stats do not
-    // depend on how the stream was split into batches. flatten inlines
-    // the handlers and their fast paths into this one loop.
-    // Loop-heavy streams repeat the same site id back to back, so a
-    // one-entry cache skips the registry lookup for the repeat case
-    // (CodeSite objects are stable once defined).
-    trace::SiteRegistry& reg = trace::registry();
-    const trace::CodeSite* last_site = nullptr;
-    uint32_t last_aux = 0;
     for (size_t i = 0; i < count; ++i) {
         const trace::ProbeEvent& e = events[i];
         switch (e.kind) {
         case trace::ProbeEvent::kBlock:
-        case trace::ProbeEvent::kBlockBranch: {
-            if (last_site == nullptr || e.aux != last_aux) {
-                last_site = &reg.site(e.aux);
-                last_aux = e.aux;
-            }
-            modelBlock(*last_site);
-            if (e.kind == trace::ProbeEvent::kBlockBranch) {
-                modelBranch(*last_site, (e.flags & 1) != 0);
-            }
+            block(*e.site, outcomes[i]);
             break;
-        }
+        case trace::ProbeEvent::kBlockBranch:
+            block(*e.site, outcomes[i]);
+            branch(*e.site, (e.flags & 1) != 0, outcomes[i]);
+            break;
         case trace::ProbeEvent::kLoad:
-            modelLoad(e.addr, e.aux);
+            load(outcomes[i]);
             break;
         case trace::ProbeEvent::kStore:
-            modelStore(e.addr, e.aux);
+            store(outcomes[i]);
             break;
         default:
             VT_PANIC("corrupt probe event kind ", static_cast<int>(e.kind));
@@ -741,11 +854,8 @@ CoreModel::onBatch(const trace::ProbeEvent* events, size_t count)
 }
 
 CoreStats
-CoreModel::finish()
+TimingStage::finish()
 {
-    VT_ASSERT(!finished_, "finish() called twice");
-    finished_ = true;
-
     // Let the machine drain: run the clock to the last retirement.
     uint64_t end = std::max(cur_cycle_, fetch_ready_);
     if (!rob_.empty()) {
@@ -776,6 +886,385 @@ CoreModel::finish()
         capturePhase();
     }
     return stats_;
+}
+
+// ---- CorePipeline ----------------------------------------------------------
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double
+secondsSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// Records per ring slot: one default probe batch.
+constexpr uint32_t kSlotEvents = trace::kDefaultProbeBatch;
+
+/** Polls before a waiting stage sleeps: a slot takes a few microseconds
+ *  to fill or consume, so most waits end within the spin. */
+constexpr int kSpinPolls = 2048;
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+/** Waits until `ready(index.load())` holds: a bounded spin, then sleeps
+ *  on the index. Adds the time waited to `wait_s`. */
+template <typename Ready>
+uint32_t
+awaitIndex(const std::atomic<uint32_t>& index, Ready ready, double& wait_s)
+{
+    uint32_t v = index.load(std::memory_order_acquire);
+    if (ready(v)) {
+        return v;
+    }
+    const Clock::time_point t0 = Clock::now();
+    for (int poll = 0; poll < kSpinPolls && !ready(v); ++poll) {
+        cpuRelax();
+        v = index.load(std::memory_order_acquire);
+    }
+    while (!ready(v)) {
+        index.wait(v, std::memory_order_acquire);
+        v = index.load(std::memory_order_acquire);
+    }
+    wait_s += secondsSince(t0);
+    return v;
+}
+
+void
+publishIndex(std::atomic<uint32_t>& index, uint32_t value)
+{
+    index.store(value, std::memory_order_release);
+    index.notify_one();
+}
+
+} // namespace
+
+/**
+ * The threaded schedule of one run: a ring of slots handed from the
+ * emitting thread to the memory stage's thread, from it to the timing
+ * stage's thread, and back. Each hand-off is one single-producer,
+ * single-consumer index (release on publish, acquire on read) on its own
+ * cache line; indices count slots and wrap harmlessly.
+ */
+struct CorePipeline
+{
+    /** Slots in the ring: 16 x (256 events + outcomes) is 113 KiB. */
+    static constexpr uint32_t kSlots = 16;
+    /** A slot count that tells both stage threads to exit. */
+    static constexpr uint32_t kStop = UINT32_MAX;
+
+    struct alignas(64) Slot
+    {
+        uint32_t count = 0;
+        trace::ProbeEvent events[kSlotEvents];
+        MemOutcome outcomes[kSlotEvents];
+    };
+
+    // The ring comes straight from mmap and goes back with munmap, so a
+    // run's pipeline adds exactly its pages to the resident set and
+    // leaves no hole in the heap when it ends.
+    static void*
+    operator new(std::size_t size)
+    {
+        void* p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        VT_ASSERT(p != MAP_FAILED, "cannot map a core pipeline ring");
+        return p;
+    }
+    static void
+    operator delete(void* p, std::size_t size)
+    {
+        munmap(p, size);
+    }
+
+    CorePipeline(MemoryStage& memory, TimingStage& timing)
+    {
+        memory_thread = std::thread([this, &memory] { memoryLoop(memory); });
+        timing_thread = std::thread([this, &timing] { timingLoop(timing); });
+    }
+
+    /** Copies `count` records into the ring (emitting thread). */
+    void
+    push(const trace::ProbeEvent* events, size_t count, double& wait_s)
+    {
+        while (count > 0) {
+            Slot& slot = fillSlot(wait_s);
+            const size_t n = std::min<size_t>(count, kSlotEvents - fill);
+            std::memcpy(slot.events + fill, events,
+                        n * sizeof(trace::ProbeEvent));
+            fill += static_cast<uint32_t>(n);
+            events += n;
+            count -= n;
+            if (fill == kSlotEvents) {
+                publish(fill);
+            }
+        }
+    }
+
+    /** Hands over the partial slot and a stop slot, then joins both
+     *  threads: every pushed event has been consumed on return. */
+    void
+    stop(double& wait_s)
+    {
+        if (fill > 0) {
+            publish(fill);
+        }
+        fillSlot(wait_s);
+        publish(kStop);
+        const Clock::time_point t0 = Clock::now();
+        memory_thread.join();
+        timing_thread.join();
+        wait_s += secondsSince(t0);
+    }
+
+    /** The slot being filled; waits for the timing stage to free it. */
+    Slot&
+    fillSlot(double& wait_s)
+    {
+        const uint32_t index = produced.load(std::memory_order_relaxed);
+        if (fill == 0) {
+            awaitIndex(
+                consumed,
+                [index](uint32_t done) { return index - done < kSlots; },
+                wait_s);
+        }
+        return slots[index % kSlots];
+    }
+
+    void
+    publish(uint32_t count)
+    {
+        const uint32_t index = produced.load(std::memory_order_relaxed);
+        slots[index % kSlots].count = count;
+        fill = 0;
+        publishIndex(produced, index + 1);
+    }
+
+    /** Starts every line of the slot's events toward this core for
+     *  reading and of its outcomes for writing, so the cross-core
+     *  transfers overlap instead of stalling the stage one by one. */
+    static void
+    prefetchSlot(const Slot& slot, uint32_t count)
+    {
+        const char* events = reinterpret_cast<const char*>(slot.events);
+        const char* outcomes = reinterpret_cast<const char*>(slot.outcomes);
+        for (size_t b = 0; b < count * sizeof(trace::ProbeEvent); b += 64) {
+            __builtin_prefetch(events + b, 0);
+        }
+        for (size_t b = 0; b < count * sizeof(MemOutcome); b += 64) {
+            __builtin_prefetch(outcomes + b, 1);
+        }
+    }
+
+    void
+    memoryLoop(MemoryStage& stage)
+    {
+        const Clock::time_point t0 = Clock::now();
+        for (uint32_t next = 0;; ++next) {
+            awaitIndex(
+                produced, [next](uint32_t v) { return v != next; },
+                memory_wait_s);
+            Slot& slot = slots[next % kSlots];
+            const uint32_t count = slot.count;
+            if (count != kStop) {
+                prefetchSlot(slot, count);
+                stage.run(slot.events, slot.outcomes, count);
+            }
+            publishIndex(resolved, next + 1);
+            if (count == kStop) {
+                break;
+            }
+        }
+        memory_busy_s = secondsSince(t0) - memory_wait_s;
+    }
+
+    void
+    timingLoop(TimingStage& stage)
+    {
+        const Clock::time_point t0 = Clock::now();
+        for (uint32_t next = 0;; ++next) {
+            awaitIndex(
+                resolved, [next](uint32_t v) { return v != next; },
+                timing_wait_s);
+            Slot& slot = slots[next % kSlots];
+            const uint32_t count = slot.count;
+            if (count != kStop) {
+                stage.run(slot.events, slot.outcomes, count);
+            }
+            publishIndex(consumed, next + 1);
+            if (count == kStop) {
+                break;
+            }
+        }
+        timing_busy_s = secondsSince(t0) - timing_wait_s;
+    }
+
+    /// Slots handed to the memory stage (written by the emitting thread).
+    alignas(64) std::atomic<uint32_t> produced{0};
+    /// Slots with outcomes (written by the memory stage's thread).
+    alignas(64) std::atomic<uint32_t> resolved{0};
+    /// Slots the timing stage is done with (written by its thread).
+    alignas(64) std::atomic<uint32_t> consumed{0};
+
+    /// Records in slot `produced` so far (emitting thread only).
+    alignas(64) uint32_t fill = 0;
+
+    // Each written by its stage thread, read after the join.
+    alignas(64) double memory_busy_s = 0.0;
+    double memory_wait_s = 0.0;
+    alignas(64) double timing_busy_s = 0.0;
+    double timing_wait_s = 0.0;
+
+    std::thread memory_thread;
+    std::thread timing_thread;
+
+    Slot slots[kSlots];
+};
+
+// ---- CoreModel -------------------------------------------------------------
+
+CoreModel::CoreModel(const CoreParams& params)
+    : params_(params),
+      stages_(std::make_unique<Stages>(params))
+{
+}
+
+CoreModel::~CoreModel()
+{
+    endRun();
+}
+
+void
+CoreModel::startRun()
+{
+    // The emitting thread plus two stage threads, if they fit beside
+    // every other running instrumented run; else just the emitting one.
+    claim_ = CpuClaim::tryHold(3);
+    if (claim_.cpus() == 0) {
+        claim_ = CpuClaim::hold(1);
+        return;
+    }
+    schedule_.pipelined = true;
+    pipeline_ =
+        std::make_unique<CorePipeline>(stages_->memory, stages_->timing);
+}
+
+void
+CoreModel::endRun()
+{
+    if (pipeline_ != nullptr) {
+        pipeline_->stop(schedule_.codec_wait_s);
+        schedule_.memory_busy_s += pipeline_->memory_busy_s;
+        schedule_.memory_wait_s += pipeline_->memory_wait_s;
+        schedule_.timing_busy_s += pipeline_->timing_busy_s;
+        schedule_.timing_wait_s += pipeline_->timing_wait_s;
+        pipeline_.reset();
+    }
+    claim_.release();
+}
+
+[[gnu::flatten]] void
+CoreModel::Stages::runInline(const trace::ProbeEvent* events, size_t count)
+{
+    // The same stage code the threads run, back to back on this thread
+    // and fused per event: the memory stage never reads timing state, so
+    // the order in which the two stages see the stream changes nothing.
+    for (size_t i = 0; i < count; ++i) {
+        const trace::ProbeEvent& e = events[i];
+        switch (e.kind) {
+        case trace::ProbeEvent::kBlock:
+            timing.block(*e.site, memory.block(*e.site));
+            break;
+        case trace::ProbeEvent::kBlockBranch: {
+            MemOutcome o = memory.block(*e.site);
+            const bool taken = (e.flags & 1) != 0;
+            memory.branch(*e.site, taken, o);
+            timing.block(*e.site, o);
+            timing.branch(*e.site, taken, o);
+            break;
+        }
+        case trace::ProbeEvent::kLoad:
+            timing.load(memory.data(e.addr, e.aux));
+            break;
+        case trace::ProbeEvent::kStore:
+            timing.store(memory.data(e.addr, e.aux));
+            break;
+        default:
+            VT_PANIC("corrupt probe event kind ", static_cast<int>(e.kind));
+        }
+    }
+}
+
+void
+CoreModel::onBatch(const trace::ProbeEvent* events, size_t count)
+{
+    if (claim_.cpus() == 0) {
+        startRun();
+    } else if (pipeline_ != nullptr
+               && CpuClaim::claimed() > CpuClaim::usableCpus()) {
+        // Runs that started later claimed the stage threads' CPUs: drain
+        // the ring and go on inline rather than oversubscribe them.
+        endRun();
+        claim_ = CpuClaim::hold(1);
+    }
+    if (pipeline_ != nullptr) {
+        pipeline_->push(events, count, schedule_.codec_wait_s);
+    } else {
+        stages_->runInline(events, count);
+    }
+}
+
+void
+CoreModel::onDetach()
+{
+    endRun();
+}
+
+void
+CoreModel::onBlock(const trace::CodeSite& site)
+{
+    endRun();
+    stages_->timing.block(site, stages_->memory.block(site));
+}
+
+void
+CoreModel::onBranch(const trace::CodeSite& site, bool taken)
+{
+    endRun();
+    MemOutcome o{};
+    stages_->memory.branch(site, taken, o);
+    stages_->timing.branch(site, taken, o);
+}
+
+void
+CoreModel::onLoad(uint64_t addr, uint32_t bytes)
+{
+    endRun();
+    stages_->timing.load(stages_->memory.data(addr, bytes));
+}
+
+void
+CoreModel::onStore(uint64_t addr, uint32_t bytes)
+{
+    endRun();
+    stages_->timing.store(stages_->memory.data(addr, bytes));
+}
+
+CoreStats
+CoreModel::finish()
+{
+    VT_ASSERT(!finished_, "finish() called twice");
+    finished_ = true;
+    endRun();
+    return stages_->timing.finish();
 }
 
 } // namespace vtrans::uarch

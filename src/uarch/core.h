@@ -16,6 +16,12 @@
  * memory-bound and core-bound by the blocking instruction). Loads get
  * their latency from a functional cache hierarchy; retirement is in-order
  * via monotone completion times.
+ *
+ * The model is two stages that each own their state: a memory/branch
+ * stage (caches, iTLB, predictor, BTB) that turns every event into an
+ * outcome, and a timing stage (dispatch, windows, statistics) that
+ * consumes the events with their outcomes. With spare cores they run on
+ * their own threads as a pipeline behind the emitting thread.
  */
 
 #include <algorithm>
@@ -180,65 +186,105 @@ struct CoreStats
 };
 
 /**
- * The core model; attach with trace::setSink(&model), run the workload,
- * detach, then call finish().
+ * A share of this process's CPUs, held by an instrumented run while it
+ * runs. The core model claims one CPU for the thread that emits its
+ * events, or three when it pipelines (that thread plus its two stage
+ * threads), and it pipelines only if the three fit beside every other
+ * claim within usableCpus(); a pipelined run whose CPUs are claimed
+ * over by runs that start later goes on inline. So a serial sweep
+ * pipelines on a machine with spare cores, while farm workers at full
+ * occupancy stay inline. Holding claims is also how a caller keeps runs
+ * inline: claim every usable CPU and no run's helpers fit.
  */
-class CoreModel : public trace::ProbeSink
+class CpuClaim
 {
   public:
-    explicit CoreModel(const CoreParams& params);
+    CpuClaim() = default;
+    CpuClaim(CpuClaim&& other) noexcept;
+    CpuClaim& operator=(CpuClaim&& other) noexcept;
+    CpuClaim(const CpuClaim&) = delete;
+    CpuClaim& operator=(const CpuClaim&) = delete;
+    ~CpuClaim() { release(); }
 
-    // ProbeSink interface.
-    void onBlock(const trace::CodeSite& site) override;
-    void onBranch(const trace::CodeSite& site, bool taken) override;
-    void onLoad(uint64_t addr, uint32_t bytes) override;
-    void onStore(uint64_t addr, uint32_t bytes) override;
+    /** Claims `cpus` whether or not they fit. */
+    static CpuClaim hold(int cpus);
 
-    /** Consumes a batch in one loop with no per-event virtual dispatch.
-     *  Records are handled in order by the same handlers the per-event
-     *  entry points run, so the result does not depend on how the stream
-     *  is split into batches. */
-    void onBatch(const trace::ProbeEvent* events, size_t count) override;
+    /** Claims `cpus` only if they fit beside every claim now held; an
+     *  empty claim otherwise. */
+    static CpuClaim tryHold(int cpus);
 
-    /** Finalizes accounting and returns the statistics. */
-    CoreStats finish();
+    /** CPUs in this process's affinity mask (at least 1). */
+    static int usableCpus();
 
-    const CoreParams& params() const { return params_; }
+    /** CPUs claimed process-wide right now. */
+    static int claimed();
 
-    /** Per-site attribution, indexed by trace::CodeSite::id (shorter than
-     *  the registry if trailing sites saw no events). Totals are exact
-     *  only after finish() has charged the drain. Empty when
-     *  CoreParams::attribute_sites is off. */
-    const std::vector<SiteUarch>& attributionPerSite() const
-    {
-        return attr_sites_;
-    }
+    /** CPUs this claim holds (0 when empty). */
+    int cpus() const { return cpus_; }
 
-    /** Charges that predate the first block probe (attribution on). */
-    const SiteUarch& attributionUnattributed() const
-    {
-        return attr_unattributed_;
-    }
+    /** Returns the CPUs early. */
+    void release();
 
-    bool attributionEnabled() const { return params_.attribute_sites; }
+  private:
+    explicit CpuClaim(int cpus) : cpus_(cpus) {}
 
-    /** Cumulative snapshots every CoreParams::phase_window retired
-     *  instructions; finish() appends a final end-of-run sample. Empty
-     *  when phase_window is 0. */
-    const std::vector<PhaseSample>& phaseSamples() const { return phase_; }
+    int cpus_ = 0;
+};
 
-  protected:
-    // Protected rather than private: the test-only instruction-stepped
-    // oracle (tests/support/reference_core.h) is a subclass that steps
-    // this same state through its own event handlers.
-
-    enum class StallCause : uint8_t
-    {
-        Frontend,
-        BadSpeculation,
-        BackendMemory,
-        BackendCore,
+/**
+ * What the memory/branch stage learned about one probe event; the timing
+ * stage needs nothing else from the memory system. 12 bytes, so a ring
+ * slot of 256 events and their outcomes stays small.
+ */
+struct MemOutcome
+{
+    enum Flags : uint8_t {
+        kItlbMiss = 1,  ///< Block: the fetch missed the iTLB.
+        kPredicted = 2, ///< Branch: predicted direction was taken.
+        kBtbHit = 4,    ///< Branch: the BTB hit (probed only when a taken
+                        ///< branch was predicted taken).
     };
+
+    uint16_t latency;   ///< Load/store: access latency. Block: the fetch
+                        ///< penalty (worst L1i miss plus any iTLB miss).
+    uint16_t lines;     ///< Lines touched: L1d or L1i accesses.
+    uint16_t l1_misses; ///< L1d, or for a block L1i, misses.
+    uint16_t l2_misses; ///< Data side only.
+    uint16_t l3_misses; ///< Data side only.
+    uint8_t flags;      ///< Flags bits.
+    uint8_t unused;
+};
+
+static_assert(sizeof(MemOutcome) == 12, "outcomes must stay compact");
+
+class ReferenceCoreModel;
+
+/**
+ * The memory/branch stage: the cache hierarchy, the iTLB, the branch
+ * predictor, the BTB and the per-site fetch plans. It turns each probe
+ * event into a MemOutcome, in stream order. None of its state depends on
+ * time, so it can run ahead of the timing stage on another thread.
+ */
+class alignas(64) MemoryStage
+{
+  public:
+    explicit MemoryStage(const CoreParams& params);
+
+    /** Outcomes for `count` records, written to `out` in order. */
+    void run(const trace::ProbeEvent* events, MemOutcome* out, size_t count);
+
+    /** Fetches a block through its fetch plan (L1i lines, iTLB page). */
+    MemOutcome block(const trace::CodeSite& site);
+
+    /** Predicts and trains the branch ending `site`, probes the BTB when
+     *  a taken branch was predicted taken, and records both in `o`. */
+    void branch(const trace::CodeSite& site, bool taken, MemOutcome& o);
+
+    /** A load or store: one L1d access per line the bytes span. */
+    MemOutcome data(uint64_t addr, uint32_t bytes);
+
+  private:
+    friend class ReferenceCoreModel;
 
     /**
      * Precomputed instruction-fetch geometry of one code site. The
@@ -264,6 +310,68 @@ class CoreModel : public trace::ProbeSink
         std::vector<uint32_t> slots;   ///< Resident-way hint per line.
     };
 
+    /** The fetch plan for `site` (built or rebuilt on demand). */
+    SiteFetchPlan& planFor(const trace::CodeSite& site);
+    void rebuildPlan(SiteFetchPlan& plan, const trace::CodeSite& site);
+
+    LatencyParams lat_;
+    CacheHierarchy caches_;
+    Tlb itlb_;
+    std::unique_ptr<BranchPredictor> predictor_;
+    Btb btb_;
+
+    /** Per-site fetch plans, indexed by trace::CodeSite::id (grown on
+     *  demand). */
+    std::vector<SiteFetchPlan> plans_;
+};
+
+/**
+ * The timing stage: dispatch, the ROB/RS/store-buffer windows, the
+ * MSHRs, CoreStats, per-site attribution and the phase samples. It
+ * consumes the events together with their MemOutcomes and makes every
+ * counter increment itself, so phase samples snapshot the miss counters
+ * at exact instruction boundaries.
+ */
+class alignas(64) TimingStage
+{
+  public:
+    explicit TimingStage(const CoreParams& params);
+
+    /** Consumes `count` records and their outcomes, in order. */
+    void run(const trace::ProbeEvent* events, const MemOutcome* outcomes,
+             size_t count);
+
+    /** The event handlers. */
+    void block(const trace::CodeSite& site, const MemOutcome& o);
+    void branch(const trace::CodeSite& site, bool taken,
+                const MemOutcome& o);
+    void load(const MemOutcome& o);
+    void store(const MemOutcome& o);
+
+    /** Drains the machine and returns the statistics. */
+    CoreStats finish();
+
+    const std::vector<SiteUarch>& attributionPerSite() const
+    {
+        return attr_sites_;
+    }
+    const SiteUarch& attributionUnattributed() const
+    {
+        return attr_unattributed_;
+    }
+    const std::vector<PhaseSample>& phaseSamples() const { return phase_; }
+
+  private:
+    friend class ReferenceCoreModel;
+
+    enum class StallCause : uint8_t
+    {
+        Frontend,
+        BadSpeculation,
+        BackendMemory,
+        BackendCore,
+    };
+
     /** Advances dispatch to `target_cycle`, attributing empty slots. */
     void advanceTo(uint64_t target_cycle, StallCause cause);
 
@@ -272,18 +380,6 @@ class CoreModel : public trace::ProbeSink
      *  advances in closed form — see DESIGN.md §13 for the argument
      *  that this is bit-exact vs the instruction-stepped oracle. */
     void dispatch(uint32_t count);
-
-    /** The production event handlers. The virtual per-event entry points
-     *  and onBatch's fused loop both run these, so there is one
-     *  implementation of each event. */
-    void modelBlock(const trace::CodeSite& site);
-    void modelBranch(const trace::CodeSite& site, bool taken);
-    void modelLoad(uint64_t addr, uint32_t bytes);
-    void modelStore(uint64_t addr, uint32_t bytes);
-
-    /** The fetch plan for `site` (built or rebuilt on demand). */
-    SiteFetchPlan& planFor(const trace::CodeSite& site);
-    void rebuildPlan(SiteFetchPlan& plan, const trace::CodeSite& site);
 
     /** Stalls dispatch until the frontend has instructions available. */
     void resolveFrontend();
@@ -321,6 +417,9 @@ class CoreModel : public trace::ProbeSink
      *  (space must have been ensured; completion times made monotone). */
     void sbPush(uint64_t drain_time, uint32_t count);
 
+    /** Charges a data access's line and miss counts. */
+    void chargeData(const MemOutcome& o);
+
     /** Frees entries whose time has passed. */
     void drain();
 
@@ -330,13 +429,7 @@ class CoreModel : public trace::ProbeSink
     /** Records a cumulative PhaseSample and arms the next window. */
     void capturePhase();
 
-    uint64_t now() const { return cur_cycle_; }
-
     CoreParams params_;
-    CacheHierarchy caches_;
-    Tlb itlb_;
-    std::unique_ptr<BranchPredictor> predictor_;
-    Btb btb_;
 
     // Dispatch state.
     uint64_t cur_cycle_ = 0;
@@ -365,17 +458,12 @@ class CoreModel : public trace::ProbeSink
     uint64_t last_load_complete_ = 0;
     RingBuffer<uint64_t> mshr_; ///< Completion times of in-flight misses.
 
-    /** mshr_.front() (UINT64_MAX when empty), cached so onLoad skips the
+    /** mshr_.front() (UINT64_MAX when empty), cached so a load skips the
      *  head-pruning loop entirely while the oldest miss is still in the
      *  future — the common case on a streaming miss train. */
     uint64_t mshr_head_ = UINT64_MAX;
 
-    /** Per-site fetch plans, indexed by trace::CodeSite::id (grown on
-     *  demand like attr_sites_). */
-    std::vector<SiteFetchPlan> plans_;
-
     CoreStats stats_;
-    bool finished_ = false;
 
     // Per-site attribution (CoreParams::attribute_sites). attr_cur_ is
     // null when attribution is off — a single predictable branch guards
@@ -394,12 +482,146 @@ class CoreModel : public trace::ProbeSink
     uint64_t next_phase_ = UINT64_MAX;
 };
 
+/** How a model's probe stream was scheduled, and where its time went.
+ *  Busy and wait seconds are host wall time, summed over runs; they are
+ *  measured on the pipelined schedule only (inline, both stages are the
+ *  emitting thread's own time). */
+struct ScheduleStats
+{
+    bool pipelined = false;     ///< A run used the stage threads.
+    double memory_busy_s = 0.0; ///< Memory/branch stage at work.
+    double memory_wait_s = 0.0; ///< ... waiting for events.
+    double timing_busy_s = 0.0; ///< Timing stage at work.
+    double timing_wait_s = 0.0; ///< ... waiting for outcomes.
+    double codec_wait_s = 0.0;  ///< Emitting thread blocked on a full
+                                ///< ring or on the detach barrier.
+};
+
+/** The pipeline of one threaded run (core.cc). */
+struct CorePipeline;
+
+/**
+ * The core model; attach with trace::setSink(&model), run the workload,
+ * detach, then call finish().
+ *
+ * Two stages each own their state: a MemoryStage turns events into
+ * outcomes and a TimingStage consumes both. On its first batch a run
+ * claims CPUs (CpuClaim): if two spare ones fit, the stages run on their
+ * own threads, fed through a ring of 256-event slots, while the emitting
+ * thread goes on running the codec; otherwise both stages run back to
+ * back on the emitting thread. A pipelined run that finds the process's
+ * CPUs overclaimed at a batch drains its ring and continues inline.
+ * Both schedules run the same stage code, so every result is identical
+ * either way (DESIGN.md §14). Detaching (onDetach) drains the ring and
+ * joins the threads.
+ */
+class CoreModel : public trace::ProbeSink
+{
+  public:
+    explicit CoreModel(const CoreParams& params);
+    ~CoreModel() override;
+
+    // ProbeSink interface. The per-event entry points finish any
+    // pipelined work first, then run both stages for the one event.
+    void onBlock(const trace::CodeSite& site) override;
+    void onBranch(const trace::CodeSite& site, bool taken) override;
+    void onLoad(uint64_t addr, uint32_t bytes) override;
+    void onStore(uint64_t addr, uint32_t bytes) override;
+
+    /** Consumes a batch with no per-event virtual dispatch, on either
+     *  schedule. Records are handled in order, so the result does not
+     *  depend on how the stream is split into batches. */
+    void onBatch(const trace::ProbeEvent* events, size_t count) override;
+
+    /** The detach barrier: every delivered event is consumed, the stage
+     *  threads are joined and the run's CPU claim is returned. */
+    void onDetach() override;
+
+    /** Finalizes accounting and returns the statistics. */
+    CoreStats finish();
+
+    const CoreParams& params() const { return params_; }
+
+    /** Per-site attribution, indexed by trace::CodeSite::id (shorter than
+     *  the registry if trailing sites saw no events). Totals are exact
+     *  only after finish() has charged the drain. Empty when
+     *  CoreParams::attribute_sites is off. */
+    const std::vector<SiteUarch>& attributionPerSite() const
+    {
+        return stages_->timing.attributionPerSite();
+    }
+
+    /** Charges that predate the first block probe (attribution on). */
+    const SiteUarch& attributionUnattributed() const
+    {
+        return stages_->timing.attributionUnattributed();
+    }
+
+    bool attributionEnabled() const { return params_.attribute_sites; }
+
+    /** Cumulative snapshots every CoreParams::phase_window retired
+     *  instructions; finish() appends a final end-of-run sample. Empty
+     *  when phase_window is 0. */
+    const std::vector<PhaseSample>& phaseSamples() const
+    {
+        return stages_->timing.phaseSamples();
+    }
+
+    /** The schedule and stage times of the runs so far (final after
+     *  detach). */
+    const ScheduleStats& schedule() const { return schedule_; }
+
+  protected:
+    // The test-only instruction-stepped oracle
+    // (tests/support/reference_core.h) steps the stages' state through
+    // its own handlers.
+    MemoryStage& memory() { return stages_->memory; }
+    TimingStage& timing() { return stages_->timing; }
+
+    CoreParams params_;
+
+  private:
+    /**
+     * Both stages in one allocation, each on its own cache lines
+     * (alignas), so stage threads never share a line. Being members of
+     * one object also tells the compiler that a store to one stage's
+     * counters never changes the other's state, which the fused inline
+     * loop needs to keep that state in registers.
+     */
+    struct Stages
+    {
+        explicit Stages(const CoreParams& params)
+            : memory(params), timing(params)
+        {
+        }
+
+        /** Runs both stages on this thread, one event at a time. */
+        void runInline(const trace::ProbeEvent* events, size_t count);
+
+        MemoryStage memory;
+        TimingStage timing;
+    };
+
+    /** Claims CPUs for a run and, if two spare ones fit, starts the
+     *  stage threads. */
+    void startRun();
+
+    /** Ends the run: drains and joins a pipeline, returns the claim. */
+    void endRun();
+
+    std::unique_ptr<Stages> stages_;
+    std::unique_ptr<CorePipeline> pipeline_; ///< Threaded runs only.
+    CpuClaim claim_;                         ///< Held while a run runs.
+    ScheduleStats schedule_;
+    bool finished_ = false;
+};
+
 // The window admission checks and pushes are defined here, inline, so
-// both the production handlers and the test-only oracle subclass compile
-// them into their hot paths.
+// both the production handlers and the test-only oracle compile them
+// into their hot paths.
 
 inline void
-CoreModel::ensureRobSpace(uint32_t count)
+TimingStage::ensureRobSpace(uint32_t count)
 {
     if (rob_count_ + count > static_cast<uint64_t>(params_.rob_size)) {
         waitForSpace(rob_, rob_count_, params_.rob_size, count, true,
@@ -408,7 +630,7 @@ CoreModel::ensureRobSpace(uint32_t count)
 }
 
 inline void
-CoreModel::ensureRsSpace(uint32_t count)
+TimingStage::ensureRsSpace(uint32_t count)
 {
     // With issue_at_dispatch rsPush() keeps the RS empty, and no caller
     // asks for more than rs_size entries, so this never stalls.
@@ -419,7 +641,7 @@ CoreModel::ensureRsSpace(uint32_t count)
 }
 
 inline void
-CoreModel::ensureSbSpace(uint32_t count)
+TimingStage::ensureSbSpace(uint32_t count)
 {
     // The paper groups store-buffer stalls under core bound (Fig 5e-h
     // discussion), so a full SB never stalls as backend-memory.
@@ -430,7 +652,7 @@ CoreModel::ensureSbSpace(uint32_t count)
 }
 
 inline void
-CoreModel::robPush(uint64_t complete, uint32_t count, bool is_mem)
+TimingStage::robPush(uint64_t complete, uint32_t count, bool is_mem)
 {
     // In-order retirement: completion times are made monotone so an entry
     // cannot retire before its predecessors. The new time is after
@@ -447,7 +669,7 @@ CoreModel::robPush(uint64_t complete, uint32_t count, bool is_mem)
 }
 
 inline void
-CoreModel::rsPush(uint64_t free, uint32_t count, bool is_mem)
+TimingStage::rsPush(uint64_t free, uint32_t count, bool is_mem)
 {
     if (params_.issue_at_dispatch) {
         return; // be_op2: instructions leave the RS immediately.
@@ -464,7 +686,7 @@ CoreModel::rsPush(uint64_t free, uint32_t count, bool is_mem)
 }
 
 /** Runs a callable under this core model and returns its stats.
- *  Detaching flushes any pending events before finish() reads the
+ *  Detaching consumes every pending event before finish() reads the
  *  state. */
 template <typename Workload>
 CoreStats

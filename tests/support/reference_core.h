@@ -5,14 +5,17 @@
  * @file
  * The instruction-stepped reference oracle of the core model: the event
  * handlers uarch::CoreModel ran before the event-driven fast-forward
- * (DESIGN.md §13), kept verbatim. Dispatch steps one retired instruction
- * at a time, the windows drain eagerly on every cycle the clock reaches,
- * and every fetch line walks the full cache path.
+ * (DESIGN.md §13), kept verbatim and pointed at the state the model's
+ * memory/branch and timing stages own. Dispatch steps one retired
+ * instruction at a time, the windows drain eagerly on every cycle the
+ * clock reaches, and every fetch line walks the full cache path.
  *
  * Test-only: the differential suite (tests/test_uarch.cc) and
  * microbench_probe's --min-model-speedup gate run the same probe stream
  * through CoreModel and this oracle and require bit-identical CoreStats,
- * per-site attribution and phase samples. No shipped library links it.
+ * per-site attribution and phase samples. It runs every event on the
+ * emitting thread and never starts stage threads. No shipped library
+ * links it.
  */
 
 #include "uarch/core.h"
@@ -34,6 +37,8 @@ class ReferenceCoreModel : public CoreModel
     void onBatch(const trace::ProbeEvent* events, size_t count) override;
 
   private:
+    using StallCause = TimingStage::StallCause;
+
     /** Dispatch one instruction at a time, draining on every rollover. */
     void referenceDispatch(uint32_t count);
     /** Frontend stall that also drains the windows. */

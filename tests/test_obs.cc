@@ -900,6 +900,60 @@ TEST(Metrics, PrometheusExpositionFormat)
     EXPECT_NE(text.find("latency_seconds_count 1"), std::string::npos);
 }
 
+TEST(Metrics, LabelledInstrumentsShareOneHeader)
+{
+    obs::MetricsRegistry reg;
+    reg.counter("runs_total{schedule=\"inline\"}", "Runs").inc(2);
+    reg.counter("runs_total{schedule=\"pipelined\"}", "Runs").inc(3);
+    reg.floatCounter("stage_seconds_total{stage=\"timing\"}", "Seconds")
+        .add(0.25);
+    reg.floatCounter("stage_seconds_total{stage=\"timing\"}", "Seconds")
+        .add(0.5);
+
+    const std::string text = reg.exposition();
+    auto count = [&text](const std::string& needle) {
+        size_t n = 0;
+        for (size_t at = text.find(needle); at != std::string::npos;
+             at = text.find(needle, at + 1)) {
+            ++n;
+        }
+        return n;
+    };
+    EXPECT_EQ(count("# TYPE runs_total counter"), 1u);
+    EXPECT_EQ(count("# HELP runs_total Runs"), 1u);
+    EXPECT_NE(text.find("runs_total{schedule=\"inline\"} 2"),
+              std::string::npos);
+    EXPECT_NE(text.find("runs_total{schedule=\"pipelined\"} 3"),
+              std::string::npos);
+    EXPECT_NE(text.find("# TYPE stage_seconds_total counter"),
+              std::string::npos);
+    EXPECT_NE(text.find("stage_seconds_total{stage=\"timing\"} 0.75"),
+              std::string::npos);
+}
+
+TEST(Metrics, CoreScheduleIsRecordedPerRun)
+{
+    obs::metrics().reset();
+    uarch::ScheduleStats pipelined;
+    pipelined.pipelined = true;
+    pipelined.memory_busy_s = 2.0;
+    pipelined.timing_wait_s = 0.5;
+    obs::recordCoreSchedule(pipelined);
+    obs::recordCoreSchedule(uarch::ScheduleStats{});
+    const std::string text = obs::metrics().exposition();
+    EXPECT_NE(text.find("vtrans_core_runs_total{schedule=\"pipelined\"} 1"),
+              std::string::npos);
+    EXPECT_NE(text.find("vtrans_core_runs_total{schedule=\"inline\"} 1"),
+              std::string::npos);
+    EXPECT_NE(text.find("vtrans_core_stage_seconds_total{stage=\"memory_"
+                        "branch\",state=\"busy\"} 2"),
+              std::string::npos);
+    EXPECT_NE(text.find("vtrans_core_stage_seconds_total{stage=\"timing\","
+                        "state=\"wait\"} 0.5"),
+              std::string::npos);
+    obs::metrics().reset();
+}
+
 TEST(Metrics, HistogramStaysBoundedUnderSustainedObserve)
 {
     // A long-running farm service observes() forever; the histogram must

@@ -379,6 +379,62 @@ TEST(BatchPipeline, SwitchingSinksFlushesToTheOldSink)
     EXPECT_EQ(new_sink.events.size(), 1u);
 }
 
+/** Counts detach notifications (the barrier hook). */
+class DetachCountingSink : public RecordingSink
+{
+  public:
+    int detaches = 0;
+    size_t events_at_detach = 0;
+    void
+    onDetach() override
+    {
+        ++detaches;
+        events_at_detach = events.size();
+    }
+};
+
+TEST(BatchPipeline, DetachIsABarrierForEveryChainedSink)
+{
+    // Detaching, or attaching another sink, delivers the pending batch
+    // first and then detaches the old sink; a tee detaches its chain.
+    VT_SITE(site, "test.batch.detach", 16, 2, Block);
+    DetachCountingSink first;
+    DetachCountingSink second;
+    trace::TeeSink tee({&first, &second});
+    trace::setSink(&tee, 64);
+    trace::block(site);
+    trace::block(site);
+    EXPECT_EQ(first.detaches, 0);
+    trace::setSink(nullptr);
+    EXPECT_EQ(first.detaches, 1);
+    EXPECT_EQ(second.detaches, 1);
+    EXPECT_EQ(first.events_at_detach, 2u) << "pending events came first";
+    EXPECT_EQ(second.events_at_detach, 2u);
+
+    DetachCountingSink replaced;
+    trace::setSink(&replaced, 64);
+    trace::block(site);
+    trace::setSink(&first); // Replacing a sink detaches it too.
+    EXPECT_EQ(replaced.detaches, 1);
+    EXPECT_EQ(replaced.events_at_detach, 1u);
+    trace::setSink(nullptr);
+    EXPECT_EQ(first.detaches, 2);
+}
+
+TEST(BatchPipeline, BlockRecordsCarryTheSite)
+{
+    VT_SITE(site, "test.batch.sitepointer", 16, 2, Block);
+    VT_SITE(br, "test.batch.sitepointer.br", 8, 1, Branch);
+    BatchRecordingSink sink;
+    trace::setSink(&sink, 16);
+    trace::block(site);
+    trace::branch(br, true);
+    trace::setSink(nullptr);
+    ASSERT_EQ(sink.records.size(), 2u);
+    EXPECT_EQ(sink.records[0].site, &site);
+    EXPECT_EQ(sink.records[1].site, &br);
+}
+
 TEST(BatchPipeline, CapacityBelowTwoIsFatal)
 {
     // A ring of fewer than two records cannot batch; attaching a sink

@@ -112,13 +112,22 @@ TEST(Hierarchy, L4ServicesL3Misses)
 
 TEST(Hierarchy, MultiLineAccessTouchesBothLines)
 {
-    CacheHierarchy h({32768, 8, 64}, {32768, 8, 64}, {262144, 8, 64},
-                     {8388608, 16, 64}, 0, LatencyParams{});
-    AccessResult worst;
-    h.dataAccessBytes(60, 8, &worst); // crosses the line boundary at 64
-    EXPECT_TRUE(h.l1d().contains(0));
-    EXPECT_TRUE(h.l1d().contains(64));
-    EXPECT_EQ(h.l1d().accesses(), 2u);
+    // Through the core model: 8 bytes at 60 cross the line boundary at
+    // 64, so the load accesses (and, cold, misses) both lines; 4 bytes
+    // at 60 stay within the first.
+    auto run = [](uint32_t bytes) {
+        CoreModel model(baselineConfig());
+        trace::setSink(&model);
+        trace::load(60, bytes);
+        trace::setSink(nullptr);
+        return model.finish();
+    };
+    const CoreStats crossing = run(8);
+    EXPECT_EQ(crossing.l1d_accesses, 2u);
+    EXPECT_EQ(crossing.l1d_misses, 2u);
+    const CoreStats within = run(4);
+    EXPECT_EQ(within.l1d_accesses, 1u);
+    EXPECT_EQ(within.l1d_misses, 1u);
 }
 
 // ---- TLB ----------------------------------------------------------------
@@ -550,6 +559,7 @@ struct DiffRun
     std::vector<SiteUarch> sites;
     SiteUarch unattributed;
     std::vector<PhaseSample> phases;
+    bool pipelined = false; ///< The model ran its stages on threads.
 };
 
 /** Event mixes for runProbeStream: each lists the stream's event shapes
@@ -558,24 +568,17 @@ const std::vector<int> kBalancedMix = {0, 1, 2, 3, 4, 5};
 const std::vector<int> kStoreHeavyMix = {5, 5, 5, 5, 0, 2, 3};
 const std::vector<int> kLoadDependentMix = {2, 2, 2, 4, 4, 4, 1, 5};
 
-/** Drives a deterministic pseudo-random probe stream — blocks of several
+/** Emits a deterministic pseudo-random probe stream — blocks of several
  *  sizes (some load-dependent), hard and learnable branches, loads over a
- *  wandering working set, stores — through one CoreModel, or through the
- *  instruction-stepped ReferenceCoreModel when `reference` is set. */
-DiffRun
-runProbeStream(CoreParams params, bool reference, uint32_t batch,
-               const std::vector<int>& mix = kBalancedMix)
+ *  wandering working set, stores — to this thread's sink. */
+void
+emitProbeStream(const std::vector<int>& mix = kBalancedMix)
 {
     VT_SITE(blk_a, "coretest.diff.blk_a", 96, 11, Block);
     VT_SITE(blk_b, "coretest.diff.blk_b", 40, 5, Block);
     VT_SITE(blk_c, "coretest.diff.blk_c", 200, 23, BlockLoadDep);
     VT_SITE(br_a, "coretest.diff.br_a", 16, 2, Branch);
     VT_SITE(br_b, "coretest.diff.br_b", 12, 1, BranchLoadDep);
-    const std::unique_ptr<CoreModel> owned =
-        reference ? std::make_unique<ReferenceCoreModel>(params)
-                  : std::make_unique<CoreModel>(params);
-    CoreModel& model = *owned;
-    trace::setSink(&model, batch);
     Rng rng(0xd1ffe4e57ull);
     uint64_t addr = 0x700000000ull;
     for (int i = 0; i < 12000; ++i) {
@@ -604,12 +607,27 @@ runProbeStream(CoreParams params, bool reference, uint32_t batch,
         addr += 64 * rng.below(1024); // Wandering working set: mixed hits
                                       // and misses at every cache level.
     }
+}
+
+/** Runs emitProbeStream() through one CoreModel, or through the
+ *  instruction-stepped ReferenceCoreModel when `reference` is set. */
+DiffRun
+runProbeStream(CoreParams params, bool reference, uint32_t batch,
+               const std::vector<int>& mix = kBalancedMix)
+{
+    const std::unique_ptr<CoreModel> owned =
+        reference ? std::make_unique<ReferenceCoreModel>(params)
+                  : std::make_unique<CoreModel>(params);
+    CoreModel& model = *owned;
+    trace::setSink(&model, batch);
+    emitProbeStream(mix);
     trace::setSink(nullptr);
     DiffRun r;
     r.stats = model.finish();
     r.sites = model.attributionPerSite();
     r.unattributed = model.attributionUnattributed();
     r.phases = model.phaseSamples();
+    r.pipelined = model.schedule().pipelined;
     return r;
 }
 
@@ -790,6 +808,187 @@ TEST(CoreDifferential, SaturatedWindowsMatchReferenceStepping)
             }
         }
     }
+}
+
+// ---- Pipelined vs inline schedule (bit-identity) ---------------------------
+
+/** A run can pipeline only with three usable CPUs: the emitting thread
+ *  and the two stage threads. */
+bool
+canPipeline()
+{
+    return CpuClaim::usableCpus() >= 3;
+}
+
+/** runProbeStream() on the inline schedule: every usable CPU is claimed
+ *  through the public claim API, so no run finds room for its stage
+ *  threads. */
+DiffRun
+runProbeStreamInline(const CoreParams& params, uint32_t batch)
+{
+    const CpuClaim all = CpuClaim::hold(CpuClaim::usableCpus());
+    return runProbeStream(params, false, batch);
+}
+
+/** Every Table IV row (the L4 of be_op1, be_op2's issue-at-dispatch,
+ *  bs_op's TAGE), fully instrumented, must give identical CoreStats,
+ *  per-site attribution and phase samples whether its stages run on
+ *  their own threads or back to back on the emitting thread. Capacity 3
+ *  fills each ring slot from many small batches; 1024 splits each batch
+ *  over several slots. */
+TEST(CorePipeline, SchedulesAreBitIdenticalOnEveryTableIVConfig)
+{
+    if (!canPipeline()) {
+        GTEST_SKIP() << "fewer than 3 usable CPUs: no run can pipeline";
+    }
+    for (CoreParams p : tableIVConfigs()) {
+        p.attribute_sites = true;
+        p.phase_window = 1000;
+        for (uint32_t batch : {3u, 256u, 1024u}) {
+            const std::string what =
+                p.name + " batch=" + std::to_string(batch);
+            const DiffRun threaded = runProbeStream(p, false, batch);
+            const DiffRun inline_run = runProbeStreamInline(p, batch);
+            ASSERT_TRUE(threaded.pipelined) << what;
+            ASSERT_FALSE(inline_run.pipelined) << what;
+            EXPECT_GT(threaded.phases.size(), 50u) << what;
+            expectSameRun(threaded, inline_run, what);
+        }
+    }
+}
+
+/** Detach is a barrier: attribution and phase samples read right after
+ *  setSink(nullptr), before finish(), already hold every event, and the
+ *  run's CPU claim is back. */
+TEST(CorePipeline, ResultsAreFinalRightAfterDetach)
+{
+    if (!canPipeline()) {
+        GTEST_SKIP() << "fewer than 3 usable CPUs: no run can pipeline";
+    }
+    CoreParams p = baselineConfig();
+    p.attribute_sites = true;
+    p.phase_window = 1000;
+    auto detached = [](CoreModel& model) {
+        const int held = CpuClaim::claimed();
+        trace::setSink(&model);
+        emitProbeStream();
+        trace::setSink(nullptr);
+        EXPECT_EQ(CpuClaim::claimed(), held) << "the run's claim is back";
+        DiffRun r;
+        r.sites = model.attributionPerSite();
+        r.unattributed = model.attributionUnattributed();
+        r.phases = model.phaseSamples();
+        r.pipelined = model.schedule().pipelined;
+        return r;
+    };
+    CoreModel threaded_model(p);
+    const DiffRun threaded = detached(threaded_model);
+    ASSERT_TRUE(threaded.pipelined);
+    DiffRun inline_run;
+    CoreModel inline_model(p);
+    {
+        const CpuClaim all = CpuClaim::hold(CpuClaim::usableCpus());
+        inline_run = detached(inline_model);
+    }
+    ASSERT_FALSE(inline_run.pipelined);
+    ASSERT_GT(threaded.phases.size(), 50u);
+    expectSameRun(threaded, inline_run, "read before finish()");
+    const CoreStats a = threaded_model.finish();
+    const CoreStats b = inline_model.finish();
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.cycles, b.cycles);
+}
+
+/** A run whose stage threads' CPUs are claimed by runs that start later
+ *  drains its ring and finishes inline, with unchanged results. */
+TEST(CorePipeline, RunGoesInlineWhenLaterClaimsOverbookTheCpus)
+{
+    if (!canPipeline()) {
+        GTEST_SKIP() << "fewer than 3 usable CPUs: no run can pipeline";
+    }
+    CoreParams p = baselineConfig();
+    p.attribute_sites = true;
+    p.phase_window = 1000;
+    CoreModel model(p);
+    trace::setSink(&model);
+    emitProbeStream(kBalancedMix);
+    EXPECT_EQ(CpuClaim::claimed(), 3) << "the run pipelines";
+    const CpuClaim later = CpuClaim::hold(CpuClaim::usableCpus());
+    emitProbeStream(kStoreHeavyMix);
+    EXPECT_EQ(CpuClaim::claimed(), CpuClaim::usableCpus() + 1)
+        << "the run went on inline";
+    trace::setSink(nullptr);
+    DiffRun switched;
+    switched.stats = model.finish();
+    switched.sites = model.attributionPerSite();
+    switched.unattributed = model.attributionUnattributed();
+    switched.phases = model.phaseSamples();
+
+    CoreModel reference(p);
+    trace::setSink(&reference);
+    emitProbeStream(kBalancedMix);
+    emitProbeStream(kStoreHeavyMix);
+    trace::setSink(nullptr);
+    DiffRun inline_run;
+    inline_run.stats = reference.finish();
+    inline_run.sites = reference.attributionPerSite();
+    inline_run.unattributed = reference.attributionUnattributed();
+    inline_run.phases = reference.phaseSamples();
+    EXPECT_FALSE(reference.schedule().pipelined);
+    expectSameRun(switched, inline_run, "pipelined then inline");
+}
+
+/** A model that is never finished — detached, or fed batches directly
+ *  and never detached — still drains and joins its stage threads, and
+ *  returns its claim. */
+TEST(CorePipeline, ModelDestroyedWithoutFinishJoinsCleanly)
+{
+    VT_SITE(site, "coretest.pipe.unfinished", 64, 8, Block);
+    {
+        CoreModel model(baselineConfig());
+        trace::setSink(&model);
+        for (int i = 0; i < 5000; ++i) {
+            trace::block(site);
+            trace::load(0x800000000ull + 64u * static_cast<uint64_t>(i), 8);
+        }
+        trace::setSink(nullptr);
+    }
+    EXPECT_EQ(CpuClaim::claimed(), 0);
+    {
+        CoreModel model(baselineConfig());
+        std::vector<trace::ProbeEvent> batch(3000);
+        for (trace::ProbeEvent& e : batch) {
+            e.site = &site;
+            e.aux = site.id;
+            e.kind = trace::ProbeEvent::kBlock;
+        }
+        model.onBatch(batch.data(), batch.size());
+        EXPECT_EQ(model.schedule().pipelined, canPipeline());
+        EXPECT_GT(CpuClaim::claimed(), 0);
+    }
+    EXPECT_EQ(CpuClaim::claimed(), 0);
+}
+
+/** Claims count process-wide; tryHold() only grants what fits within the
+ *  affinity mask, hold() always grants, and a claim returns its CPUs
+ *  when released, moved from or destroyed. */
+TEST(CorePipeline, CpuClaimsFitWithinTheAffinityMask)
+{
+    const int cpus = CpuClaim::usableCpus();
+    ASSERT_GE(cpus, 1);
+    EXPECT_EQ(CpuClaim::claimed(), 0);
+    CpuClaim one = CpuClaim::tryHold(1);
+    EXPECT_EQ(one.cpus(), 1);
+    EXPECT_EQ(CpuClaim::tryHold(cpus).cpus(), 0) << "does not fit";
+    CpuClaim all = CpuClaim::hold(cpus);
+    EXPECT_EQ(CpuClaim::claimed(), cpus + 1);
+    CpuClaim moved = std::move(all);
+    EXPECT_EQ(all.cpus(), 0);
+    EXPECT_EQ(CpuClaim::claimed(), cpus + 1);
+    moved.release();
+    EXPECT_EQ(CpuClaim::claimed(), 1);
+    one = CpuClaim();
+    EXPECT_EQ(CpuClaim::claimed(), 0);
 }
 
 // ---- Resource-stall PKI rounding (regression) ------------------------------

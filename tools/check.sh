@@ -100,10 +100,11 @@ VTRANS_TRACE_JSON="$OBS_DIR/farm-trace.json" \
 
 if [[ "${VTRANS_SKIP_PERF:-0}" != 1 ]]; then
     echo "== probe pipeline perf smoke (Release) =="
-    # Every batch capacity must deliver bit-identical results:
-    # microbench_probe exits non-zero if identity breaks. --attr-overhead
-    # gates per-site attribution: identical CoreStats and <= 1.25x the
-    # unattributed model sink. Writes BENCH_probe.json.
+    # Every batch capacity, and the pipelined schedule, must deliver
+    # bit-identical results: microbench_probe exits non-zero if identity
+    # breaks. --attr-overhead gates per-site attribution: identical
+    # CoreStats and a median over interleaved attributed/plain pairs of
+    # <= 1.25x the unattributed model sink. Writes BENCH_probe.json.
     PERF_DIR="${BUILD_DIR}-release"
     cmake -B "$PERF_DIR" -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build "$PERF_DIR" -j --target microbench_probe
