@@ -25,7 +25,6 @@
 #include "obs/hotspots.h"
 #include "obs/metrics.h"
 #include "obs/spans.h"
-#include "obs/uarch.h"
 
 namespace vtrans::bench {
 
@@ -44,7 +43,6 @@ struct BenchOptions
     bool uarch_report = false;  ///< Print the µarch attribution table.
     std::string uarch_report_out; ///< Attribution JSON path ("" = none).
     std::string uarch_baseline; ///< Baseline JSON to diff against.
-    uint64_t phase_window = 0;  ///< Phase sample window (instructions).
 };
 
 /**
@@ -108,7 +106,8 @@ class ZipfSampler
     std::vector<double> cdf_; ///< Normalized cumulative popularity.
 };
 
-/** The tracer wall-time sweep spans land in when --trace-out is set. */
+/** The tracer sweep spans and phase counters land in when --trace-out
+ *  or --phase-window is set. */
 inline obs::SpanTracer&
 benchTracer()
 {
@@ -172,8 +171,11 @@ benchFlags()
     };
 }
 
-/** Reads the benchFlags() of a parsed command line into options and
- *  applies their process-wide settings. */
+/** Reads the benchFlags() of a parsed command line into options: the
+ *  run configuration (kernel model, attribution, phase window, tracer)
+ *  goes into `options.study`, which every sweep point is built from.
+ *  Only the settings that stay process-wide are applied here: verbosity,
+ *  the native kernel backend and hotspot collection. */
 inline BenchOptions
 parseBenchOptions(const Cli& cli)
 {
@@ -192,7 +194,9 @@ parseBenchOptions(const Cli& cli)
                  "supported by this CPU); got ", kernels);
     }
     const std::string kernel_model = cli.str("kernel-model", "");
-    if (!kernel_model.empty() && !codec::setKernelModel(kernel_model)) {
+    if (!kernel_model.empty()
+        && !codec::parseKernelModel(kernel_model,
+                                    &options.study.codegen.kernel_model)) {
         VT_FATAL("--kernel-model must be scalar or vector; got ",
                  kernel_model);
     }
@@ -219,7 +223,8 @@ parseBenchOptions(const Cli& cli)
     options.uarch_report_out = cli.str("uarch-report-out", "");
     options.uarch_baseline = cli.str("uarch-baseline", "");
     const int64_t phase = cli.num("phase-window", 0);
-    options.phase_window = phase <= 0 ? 0 : static_cast<uint64_t>(phase);
+    options.study.core.phase_window =
+        phase <= 0 ? 0 : static_cast<uint64_t>(phase);
     if (options.hotspots || !options.hotspots_out.empty()) {
         obs::setHotspotsEnabled(true);
     }
@@ -227,12 +232,11 @@ parseBenchOptions(const Cli& cli)
         || !options.uarch_baseline.empty()) {
         // Attribution implies hotspot collection: the report needs the
         // per-site instruction denominators for CPI/MPKI.
-        obs::setUarchAttributionEnabled(true);
+        options.study.core.attribute_sites = true;
         obs::setHotspotsEnabled(true);
     }
-    obs::setPhaseWindow(options.phase_window);
-    if (!options.trace_out.empty() || options.phase_window > 0) {
-        obs::setGlobalTracer(&benchTracer());
+    if (!options.trace_out.empty() || options.study.core.phase_window > 0) {
+        options.study.tracer = &benchTracer();
     }
     return options;
 }
@@ -285,7 +289,6 @@ observabilityReport(const BenchOptions& options)
         }
     }
     if (!options.trace_out.empty()) {
-        obs::setGlobalTracer(nullptr);
         if (benchTracer().writeChromeTrace(options.trace_out)) {
             std::printf("chrome trace: %s (%zu spans)\n",
                         options.trace_out.c_str(), benchTracer().size());

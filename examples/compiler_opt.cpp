@@ -15,7 +15,6 @@
 
 #include <cstdio>
 
-#include "codec/loopflags.h"
 #include "codec/transcode.h"
 #include "common/cli.h"
 #include "core/workload.h"
@@ -44,7 +43,6 @@ main(int argc, char** argv)
     run.core = uarch::baselineConfig();
 
     trace::registry().resetLayout();
-    codec::setLoopOptFlags({});
 
     auto report = [](const char* label, const core::RunResult& r) {
         const auto td = r.core.topdown();
@@ -88,9 +86,10 @@ main(int argc, char** argv)
     // --- Graphite-style: loop restructuring --------------------------
     std::printf("\nenabling loop restructurings (deblock interchange + "
                 "lookahead fusion)...\n");
-    codec::setLoopOptFlags({true, true});
-    const auto graphite = core::runInstrumented(run);
-    codec::setLoopOptFlags({});
+    core::RunConfig graphite_run = run;
+    graphite_run.params.codegen.interchange_deblock = true;
+    graphite_run.params.codegen.fuse_lookahead = true;
+    const auto graphite = core::runInstrumented(graphite_run);
     report("loop restructuring", graphite);
     std::printf("  -> speedup %.2f%%\n",
                 (baseline.transcode_seconds / graphite.transcode_seconds
@@ -99,9 +98,7 @@ main(int argc, char** argv)
 
     // --- Both together ------------------------------------------------
     layout::applyProfileGuidedLayout(profile);
-    codec::setLoopOptFlags({true, true});
-    const auto both = core::runInstrumented(run);
-    codec::setLoopOptFlags({});
+    const auto both = core::runInstrumented(graphite_run);
     trace::registry().resetLayout();
     report("both combined", both);
     std::printf("  -> speedup %.2f%%\n",

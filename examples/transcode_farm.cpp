@@ -50,8 +50,7 @@
 #include "farm/farm.h"
 #include "obs/hotspots.h"
 #include "obs/metrics.h"
-#include "obs/spans.h"
-#include "obs/uarch.h"
+#include "uarch/config.h"
 
 namespace {
 
@@ -150,12 +149,9 @@ runPolicy(const std::vector<farm::JobRequest>& stream,
     farm::FarmOptions options = base;
     options.dispatch = policy;
     options.queue_policy = queue_policy;
+    // The workers' phase counter samples (if the pool sets a phase
+    // window) land on the same trace the job-lifecycle spans export to.
     farm::Farm service(options);
-    // Route the workers' phase counter samples (if a --phase-window is
-    // set) onto the same trace the job-lifecycle spans export to.
-    if (obs::phaseWindow() > 0) {
-        obs::setGlobalTracer(&service.tracer());
-    }
     for (const auto& req : stream) {
         if (chunking != nullptr && chunking->enabled()) {
             service.submitChunked(req, *chunking);
@@ -164,9 +160,6 @@ runPolicy(const std::vector<farm::JobRequest>& stream,
         }
     }
     service.drain();
-    if (obs::phaseWindow() > 0) {
-        obs::setGlobalTracer(nullptr);
-    }
     if (print) {
         std::printf("%s\n",
                     service.log().metricsTable(service.fleet())
@@ -292,13 +285,17 @@ main(int argc, char** argv)
     farm::Farm::warmupProcess();
 
     // Enable attribution only after the warm-up so the report covers the
-    // measured service runs, not the cache-priming transcodes.
+    // measured service runs, not the cache-priming transcodes. The
+    // servers' CoreParams carry attribution and the phase window.
+    base.pool = uarch::optimizedConfigs();
+    for (uarch::CoreParams& core : base.pool) {
+        core.attribute_sites = uarch_report || !uarch_out.empty();
+        core.phase_window = phase <= 0 ? 0 : static_cast<uint64_t>(phase);
+    }
     if (uarch_report || !uarch_out.empty()) {
-        obs::setUarchAttributionEnabled(true);
         obs::setHotspotsEnabled(true);
         obs::hotspotReport().reset();
     }
-    obs::setPhaseWindow(phase <= 0 ? 0 : static_cast<uint64_t>(phase));
 
     auto uarchReport = [&]() {
         if (uarch_report) {

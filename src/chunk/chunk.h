@@ -83,8 +83,9 @@ struct SplitPlan
  * the lookahead frame-type plan (`codec::planFrameTypes`) with the
  * chunking keyint, and re-encodes each segment as a self-contained
  * mezzanine-grade slice (every chunk therefore starts at an IDR).
- * `target` supplies the planning parameters (scenecut, bframes, b_adapt);
- * `opts.chunk_frames` overrides its keyint when non-zero.
+ * `target` supplies the planning parameters (scenecut, bframes, b_adapt)
+ * and the codegen every step runs on; `opts.chunk_frames` overrides its
+ * keyint when non-zero.
  */
 SplitPlan split(const std::vector<uint8_t>& mezzanine,
                 const codec::EncoderParams& target,

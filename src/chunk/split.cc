@@ -14,6 +14,8 @@ SplitPlan
 split(const std::vector<uint8_t>& mezzanine,
       const codec::EncoderParams& target, const ChunkOptions& opts)
 {
+    // Decode, planning and the slice encodes all run the target's code.
+    const codec::CodegenScope codegen(target);
     const codec::DecodeResult decoded = codec::decode(mezzanine);
     VT_ASSERT(!decoded.frames.empty(), "mezzanine decoded to no frames");
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "codec/loopflags.h"
+#include "codec/params.h"
 #include "common/status.h"
 #include "trace/probe.h"
 
@@ -77,8 +77,8 @@ deblockFrame(Frame& frame, const DeblockConfig& config, const int* qp_map,
     // at MB boundaries use the average QP of the two MBs. The per-sample
     // work at (x, y) is independent of every other edge sample, so the
     // two loop orders below are semantically identical; the interchanged
-    // order (Graphite's -floop-interchange, see loopflags.h) walks the
-    // frame row-major instead of column-major.
+    // order (Graphite's -floop-interchange, see codec::Codegen) walks
+    // the frame row-major instead of column-major.
     auto vertical_sample = [&](int x, int y) {
         const int mbx_r = x / 16;
         const int qp = (x % 16 == 0)
@@ -122,7 +122,7 @@ deblockFrame(Frame& frame, const DeblockConfig& config, const int* qp_map,
         filterSamples(p1, p0, q0, q1, alpha, beta, c0);
         trace::store(frame.simAddr(Plane::Y, x - 1, y), 2);
     };
-    if (loopOptFlags().interchange_deblock) {
+    if (activeCodegen().interchange_deblock) {
         // Interchanged row-major schedule. Walking the row lets the
         // compiler vectorize the filter (masked select instead of the
         // per-sample branch), so the restructured loop carries a block
@@ -210,7 +210,7 @@ deblockFrame(Frame& frame, const DeblockConfig& config, const int* qp_map,
             uint8_t& q1 = frame.at(plane, x + 1, y);
             filterSamples(p1, p0, q0, q1, alpha, beta, 1 + qp / 12);
         };
-        if (loopOptFlags().interchange_deblock) {
+        if (activeCodegen().interchange_deblock) {
             // Same interchange as the luma vertical pass: row-major walk.
             for (int y = 0; y < ch; ++y) {
                 for (int x = 8; x < cw; x += 8) {

@@ -1013,6 +1013,7 @@ Encoder::Encoder(const EncoderParams& params, double fps)
 std::vector<uint8_t>
 Encoder::encode(const std::vector<Frame>& frames, EncodeStats* stats)
 {
+    const CodegenScope codegen(params_);
     VT_ASSERT(!frames.empty(), "cannot encode an empty sequence");
     const int w = frames[0].width();
     const int h = frames[0].height();

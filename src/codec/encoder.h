@@ -63,7 +63,7 @@ class Encoder
     Encoder(const EncoderParams& params, double fps);
 
     /**
-     * Encodes a sequence.
+     * Encodes a sequence on the params' codegen (CodegenScope).
      * @param frames Input frames in display order (all same geometry).
      * @param stats Optional aggregate statistics out-param.
      * @return The coded bitstream.

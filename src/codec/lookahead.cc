@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "codec/loopflags.h"
+#include "codec/params.h"
 #include "codec/pixel.h"
 #include "common/status.h"
 #include "trace/probe.h"
@@ -83,7 +83,7 @@ namespace {
 
 /**
  * Fused per-block analysis (Graphite's loop fusion / distribution
- * inverse, see loopflags.h): the current block's half-res pixels are
+ * inverse, see codec::Codegen): the current block's half-res pixels are
  * computed once into a register block and reused by both the intra cost
  * and every inter candidate, instead of being re-loaded per pass.
  * Arithmetic is identical to the unfused path.
@@ -155,7 +155,7 @@ estimateFrameCosts(const Frame& frame, const Frame* prev)
     const int hbh = frame.height() / 2 / 8;
     static const int kDia[5][2] = {
         {0, 0}, {2, 0}, {-2, 0}, {0, 2}, {0, -2}};
-    const bool fused = loopOptFlags().fuse_lookahead;
+    const bool fused = activeCodegen().fuse_lookahead;
 
     for (int by = 0; by < hbh; ++by) {
         for (int bx = 0; bx < hbw; ++bx) {

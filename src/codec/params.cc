@@ -7,6 +7,10 @@
 
 namespace vtrans::codec {
 
+namespace detail {
+thread_local constinit Codegen t_codegen;
+} // namespace detail
+
 void
 EncoderParams::validate() const
 {
@@ -207,6 +211,17 @@ canonicalString(const EncoderParams& p)
     if (p.deblock) {
         out << "dbab=" << p.deblock_alpha << ',' << p.deblock_beta << ';';
     }
+    // Codegen only where it differs from the default, so every default
+    // digest keeps the string it had before codegen was a parameter.
+    if (p.codegen.kernel_model == KernelModel::Vector) {
+        out << "kernels=vector;";
+    }
+    if (p.codegen.interchange_deblock) {
+        out << "interchange_deblock=1;";
+    }
+    if (p.codegen.fuse_lookahead) {
+        out << "fuse_lookahead=1;";
+    }
     return out.str();
 }
 
@@ -258,6 +273,20 @@ toString(MeMethod me)
         return "tesa";
     }
     return "?";
+}
+
+bool
+parseKernelModel(const std::string& name, KernelModel* model)
+{
+    if (name == "scalar") {
+        *model = KernelModel::Scalar;
+        return true;
+    }
+    if (name == "vector") {
+        *model = KernelModel::Vector;
+        return true;
+    }
+    return false;
 }
 
 std::string

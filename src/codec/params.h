@@ -45,6 +45,32 @@ struct Partitions
     bool i8x8 = true;  ///< Intra 8x8 (folded into the i4x4 path here).
 };
 
+/** Simulated kernel cost model: Scalar emits the historical probe sites
+ *  (default), Vector the SIMD-form sites of uarch/simdcost.h — fewer,
+ *  wider retired ops per block. */
+enum class KernelModel : uint8_t { Scalar, Vector };
+
+/**
+ * Which compiled code the simulated binary runs: the kernel cost model
+ * and the Graphite loop transformations (-floop-interchange
+ * -ftree-loop-distribution -floop-block, paper §III-D1). Every choice
+ * produces the same bitstream and pixels; only the probe stream the
+ * simulated core sees changes. The loop schedules are verified legal by
+ * the loopopt dependence test (tests/test_loopopt.cc).
+ */
+struct Codegen
+{
+    KernelModel kernel_model = KernelModel::Scalar;
+    /** Deblock's vertical-edge pass walks row-major instead of
+     *  column-major: sequential reuse instead of a strided miss storm. */
+    bool interchange_deblock = false;
+    /** The lookahead loads each half-res block once for its intra and
+     *  inter cost proxies instead of once per pass. */
+    bool fuse_lookahead = false;
+
+    bool operator==(const Codegen&) const = default;
+};
+
 /**
  * Full encoder parameter set.
  *
@@ -82,6 +108,9 @@ struct EncoderParams
     int deblock_alpha = 1;     ///< Alpha offset (Table II "deblock [a:b]").
     int deblock_beta = 0;      ///< Beta offset.
 
+    /** The code the encode runs on (not a bitstream choice). */
+    Codegen codegen;
+
     std::string preset = "medium";
 
     /** Validates ranges; fatal error on invalid user input. */
@@ -100,17 +129,55 @@ const std::vector<std::string>& presetNames();
  */
 EncoderParams presetParams(const std::string& name, bool preset_refs = false);
 
+namespace detail {
+
+/** The codegen of the codec work running on this thread (CodegenScope). */
+extern thread_local constinit Codegen t_codegen;
+
+} // namespace detail
+
+/** The codegen the calling thread's codec work runs on: the default
+ *  outside any CodegenScope (a standalone `decode` runs the default). */
+inline const Codegen&
+activeCodegen()
+{
+    return detail::t_codegen;
+}
+
+/** Runs the calling thread's codec work on `params.codegen` until the
+ *  scope ends, then restores the previous codegen. `transcode`,
+ *  `Encoder::encode` and `chunk::split` open one, so a transcode's decode
+ *  half runs the same code as its encode. */
+class CodegenScope
+{
+  public:
+    explicit CodegenScope(const EncoderParams& params)
+        : saved_(detail::t_codegen)
+    {
+        detail::t_codegen = params.codegen;
+    }
+    ~CodegenScope() { detail::t_codegen = saved_; }
+    CodegenScope(const CodegenScope&) = delete;
+    CodegenScope& operator=(const CodegenScope&) = delete;
+
+  private:
+    Codegen saved_;
+};
+
 /**
  * Canonical serialization of a parameter set: a fixed-order, tagged
  * rendering of exactly the fields that influence the encoded bitstream
- * under the set's active modes. Fields that are inert for the current
+ * under the set's active modes, plus each codegen field that differs from
+ * the default (codegen changes what a simulated run measures, so a vector
+ * or Graphite run never shares a cache key with a default one, and a
+ * default run keeps its digest). Fields that are inert for the current
  * configuration are omitted — `qp` matters only under CQP, the bitrate
  * target only under ABR/2-pass/CBR, the VBV pair only under VBV,
  * `aq_strength` only when AQ is on, the deblock offsets only when the
  * filter is enabled, `b_adapt` only when B-frames exist — and the
  * `preset` *name* is never included (it is a label, not a parameter).
- * Two parameter sets that encode identically therefore canonicalize
- * identically, however they were constructed.
+ * Two parameter sets that encode identically on the same code therefore
+ * canonicalize identically, however they were constructed.
  */
 std::string canonicalString(const EncoderParams& params);
 
@@ -127,6 +194,10 @@ std::string toString(RateControl rc);
 std::string toString(MeMethod me);
 /** Human-readable name of a frame type ("I"/"P"/"B"). */
 std::string toString(FrameType type);
+
+/** Parses "scalar" / "vector" (the --kernel-model flag values) into
+ *  `model`. @return false on an unknown name (`model` unchanged). */
+bool parseKernelModel(const std::string& name, KernelModel* model);
 
 } // namespace vtrans::codec
 

@@ -2,8 +2,7 @@
  * @file
  * Strategy selection: resolves VTRANS_KERNEL_ISA / setKernelIsa() to one
  * of the backend tables and publishes it for the hot-path kernels()
- * accessor. Also owns the simulated kernel cost model knob (scalar vs
- * vector probe sites).
+ * accessor.
  */
 
 #include "codec/strategies/strategies.h"
@@ -17,7 +16,6 @@ namespace vtrans::codec {
 namespace detail {
 
 std::atomic<const KernelOps*> g_kernels{nullptr};
-std::atomic<bool> g_vector_model{false};
 
 namespace {
 
@@ -108,33 +106,6 @@ availableKernelIsas()
         isas.emplace_back("avx2");
     }
     return isas;
-}
-
-void
-setKernelModel(KernelModel model)
-{
-    detail::g_vector_model.store(model == KernelModel::Vector,
-                                 std::memory_order_relaxed);
-}
-
-bool
-setKernelModel(const std::string& name)
-{
-    if (name == "scalar") {
-        setKernelModel(KernelModel::Scalar);
-        return true;
-    }
-    if (name == "vector") {
-        setKernelModel(KernelModel::Vector);
-        return true;
-    }
-    return false;
-}
-
-KernelModel
-kernelModel()
-{
-    return vectorKernelModel() ? KernelModel::Vector : KernelModel::Scalar;
 }
 
 } // namespace vtrans::codec

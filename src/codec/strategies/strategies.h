@@ -22,10 +22,12 @@
  * (default: best ISA the CPU supports). Vector tables fall back to the
  * scalar entry for ops a backend does not specialize.
  *
- * Separately from the *native* backend, `setKernelModel()` switches the
- * *simulated* cost model of the kernels between their scalar and vector
- * forms (see uarch/simdcost.h); the default is the scalar model, which is
- * bit-identical to the pre-strategies probe stream.
+ * Separately from the *native* backend, a run's
+ * `EncoderParams::codegen.kernel_model` selects the *simulated* cost model
+ * of the kernels, scalar or vector forms (see uarch/simdcost.h); the
+ * kernels read it through `vectorKernelModel()`, the calling thread's
+ * active codegen (codec/params.h). The default is the scalar model, which
+ * is bit-identical to the pre-strategies probe stream.
  */
 
 #include <atomic>
@@ -33,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "codec/params.h"
 #include "common/status.h"
 
 namespace vtrans::codec {
@@ -148,9 +151,6 @@ namespace detail {
 /** Active table; null until first use (lazy env-based init). */
 extern std::atomic<const KernelOps*> g_kernels;
 
-/** True when the simulated cost model uses the vector kernel forms. */
-extern std::atomic<bool> g_vector_model;
-
 /** Resolves VTRANS_KERNEL_ISA (default auto) and publishes the table. */
 const KernelOps* initKernels();
 
@@ -182,30 +182,13 @@ std::string kernelIsa();
  *  (always starts with "scalar"). */
 std::vector<std::string> availableKernelIsas();
 
-/**
- * Simulated kernel cost model: Scalar emits exactly the historical probe
- * sites (default; bit-identical fingerprints), Vector emits the SIMD-form
- * sites — fewer, wider retired ops per block, costs from uarch/simdcost.h
- * — so instrumented runs show the Top-down shift of vectorization.
- */
-enum class KernelModel : uint8_t { Scalar, Vector };
-
-/** True when the vector probe model is active (hot-path accessor). */
+/** True when the calling thread's codec work runs the vector kernel
+ *  cost model (hot-path accessor). */
 inline bool
 vectorKernelModel()
 {
-    return detail::g_vector_model.load(std::memory_order_relaxed);
+    return activeCodegen().kernel_model == KernelModel::Vector;
 }
-
-/** Selects the simulated kernel cost model (process-wide). */
-void setKernelModel(KernelModel model);
-
-/** Parses "scalar" / "vector" (the --kernel-model flag values).
- *  @return false on an unknown name (selection unchanged). */
-bool setKernelModel(const std::string& name);
-
-/** The active simulated kernel cost model. */
-KernelModel kernelModel();
 
 } // namespace vtrans::codec
 

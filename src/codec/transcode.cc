@@ -16,6 +16,7 @@ mezzanineParams()
     params.crf = 10;
     params.refs = 2;
     params.subme = 4;
+    params.codegen = activeCodegen();
     return params;
 }
 
@@ -31,6 +32,7 @@ makeSourceStream(const video::VideoSpec& spec)
 TranscodeResult
 transcode(const std::vector<uint8_t>& input, const EncoderParams& params)
 {
+    const CodegenScope codegen(params);
     DecodeResult decoded = decode(input);
     VT_ASSERT(!decoded.frames.empty(), "input stream decoded to no frames");
 

@@ -37,7 +37,9 @@ struct TranscodeResult
  * The near-lossless parameter set mezzanine streams are encoded with
  * (crf 10, bounded analysis cost) — shared by `makeSourceStream` and the
  * chunk splitter's per-segment slice encodes so chunk inputs match the
- * whole-clip mezzanine grade.
+ * whole-clip mezzanine grade. Its codegen is the calling thread's active
+ * one: the grade's bytes are the same on every codegen, so a mezzanine
+ * encode runs the code of the run that needs it.
  */
 EncoderParams mezzanineParams();
 
@@ -48,7 +50,8 @@ EncoderParams mezzanineParams();
  */
 std::vector<uint8_t> makeSourceStream(const video::VideoSpec& spec);
 
-/** Decodes `input` and re-encodes it with `params`. */
+/** Decodes `input` and re-encodes it with `params`, both halves on
+ *  `params.codegen`. */
 TranscodeResult transcode(const std::vector<uint8_t>& input,
                           const EncoderParams& params);
 

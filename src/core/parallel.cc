@@ -57,18 +57,16 @@ resolveJobs(int jobs)
 
 SweepStats
 parallelSweep(size_t count, int jobs,
-              const std::function<void(size_t)>& run_point)
+              const std::function<void(size_t)>& run_point,
+              obs::SpanTracer* tracer, const codec::Codegen& codegen)
 {
-    // Wall-time stage spans land in the process-wide tracer when one is
-    // installed (Scoped is a no-op otherwise).
-    obs::SpanTracer* tracer = obs::globalTracer();
-
     // All probe code sites must be registered — serially, in a fixed
     // order — before any worker can race a registration and perturb the
-    // virtual code layout (see farm/farm.h).
+    // virtual code layout (see farm/farm.h). Scoped spans are no-ops
+    // without a tracer.
     {
         obs::SpanTracer::Scoped warmup(tracer, "sweep", "warmup");
-        farm::Farm::warmupProcess();
+        farm::Farm::warmupProcess(codegen);
     }
 
     SweepStats stats;
@@ -151,7 +149,8 @@ parallelCrfRefsSweep(const std::vector<int>& crf_values,
                          + " refs=" + std::to_string(point.refs));
             point.run = runInstrumented(
                 sweepPointConfig(options, point.crf, point.refs));
-        });
+        },
+        options.tracer, options.codegen);
     if (stats != nullptr) {
         *stats = s;
     }
@@ -174,7 +173,8 @@ parallelPresetStudy(const StudyOptions& options, SweepStats* stats)
             progress(options.verbose, "preset " + result.preset);
             result.run = runInstrumented(
                 presetPointConfig(options, result.preset));
-        });
+        },
+        options.tracer, options.codegen);
     if (stats != nullptr) {
         *stats = s;
     }
@@ -188,7 +188,7 @@ chunkedTranscode(const ChunkedOptions& options, SweepStats* stats)
     if (!options.chunking.enabled()) {
         // Chunking off: the ordinary whole-video path, byte-identical to
         // a plain instrumented run (no split, no remux).
-        farm::Farm::warmupProcess();
+        farm::Farm::warmupProcess(options.params.codegen);
         RunConfig cfg;
         cfg.video = options.video;
         cfg.seconds = options.seconds;
@@ -216,7 +216,7 @@ chunkedTranscode(const ChunkedOptions& options, SweepStats* stats)
     // results land in pre-sized slots, so ordering never depends on
     // completion order. warmupProcess runs inside parallelSweep before
     // the fan-out; cachedSplit's segment encodes happen after it here.
-    farm::Farm::warmupProcess();
+    farm::Farm::warmupProcess(options.params.codegen);
     const auto plan = cachedSplit(options.video, options.seconds,
                                   options.params, options.chunking);
     const auto groups = chunk::groupSegments(plan->segments.size(),
@@ -239,7 +239,8 @@ chunkedTranscode(const ChunkedOptions& options, SweepStats* stats)
             cfg.params = options.params;
             cfg.core = options.core;
             out.chunk_runs[i] = runInstrumentedChunk(slices, cfg);
-        });
+        },
+        nullptr, options.params.codegen);
     if (stats != nullptr) {
         *stats = s;
     }
@@ -319,7 +320,8 @@ parallelVideoStudy(const StudyOptions& options, SweepStats* stats)
             progress(options.verbose, "video " + result.video);
             result.run = runInstrumented(
                 videoPointConfig(options, result.video));
-        });
+        },
+        options.tracer, options.codegen);
     if (stats != nullptr) {
         *stats = s;
     }

@@ -53,15 +53,19 @@ int resolveJobs(int jobs);
 
 /**
  * Executes `count` independent, index-addressed grid points on a shared
- * `farm::WorkerPool` with `jobs` workers: pre-warms probe code sites via
+ * `farm::WorkerPool` with `jobs` workers: pre-warms the probe code sites
+ * of `codegen` (the code the points run) via
  * `farm::Farm::warmupProcess()`, fans the points out (workers claim them
  * through the pool's atomic cursor), and returns once all have run.
  * `run_point(i)` must write its result into slot `i` of a caller-owned,
- * pre-sized container and touch no other shared state. Returns the
- * wall-clock accounting of the batch.
+ * pre-sized container and touch no other shared state. Wall-time stage
+ * spans land in `tracer` when one is given. Returns the wall-clock
+ * accounting of the batch.
  */
 SweepStats parallelSweep(size_t count, int jobs,
-                         const std::function<void(size_t)>& run_point);
+                         const std::function<void(size_t)>& run_point,
+                         obs::SpanTracer* tracer = nullptr,
+                         const codec::Codegen& codegen = {});
 
 /**
  * Figures 3/4/5 on the worker pool: `crfRefsSweep` with

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "codec/loopflags.h"
 #include "codec/transcode.h"
 #include "common/status.h"
 #include "layout/profile.h"
@@ -61,40 +60,46 @@ fullRefsGrid()
     return refs;
 }
 
+namespace {
+
+/** A study point's run of `params` on `video`, configured by `options`. */
+RunConfig
+pointConfig(const StudyOptions& options, const std::string& video,
+            codec::EncoderParams params)
+{
+    RunConfig config;
+    config.video = video;
+    config.seconds = options.seconds;
+    config.params = std::move(params);
+    config.params.codegen = options.codegen;
+    config.core = options.core;
+    config.tracer = options.tracer;
+    return config;
+}
+
+} // namespace
+
 RunConfig
 sweepPointConfig(const StudyOptions& options, int crf, int refs)
 {
-    RunConfig config;
-    config.video = options.video;
-    config.seconds = options.seconds;
-    config.params = codec::presetParams("medium");
-    config.params.crf = crf;
-    config.params.refs = refs;
-    config.core = uarch::baselineConfig();
-    return config;
+    codec::EncoderParams params = codec::presetParams("medium");
+    params.crf = crf;
+    params.refs = refs;
+    return pointConfig(options, options.video, std::move(params));
 }
 
 RunConfig
 presetPointConfig(const StudyOptions& options, const std::string& preset)
 {
-    RunConfig config;
-    config.video = options.video;
-    config.seconds = options.seconds;
     // §III-C2: presets with the default crf (23) and refs (3).
-    config.params = codec::presetParams(preset);
-    config.core = uarch::baselineConfig();
-    return config;
+    return pointConfig(options, options.video, codec::presetParams(preset));
 }
 
 RunConfig
 videoPointConfig(const StudyOptions& options, const std::string& video)
 {
-    RunConfig config;
-    config.video = video;
-    config.seconds = options.seconds;
-    config.params = codec::presetParams("medium"); // crf 23, refs 3
-    config.core = uarch::baselineConfig();
-    return config;
+    // crf 23, refs 3.
+    return pointConfig(options, video, codec::presetParams("medium"));
 }
 
 std::vector<SweepPoint>
@@ -162,7 +167,6 @@ optimizationStudy(const OptStudyOptions& options)
     // Make sure every code site is registered and the layout is pristine
     // before profiling (one warm-up run touches all kernels).
     trace::registry().resetLayout();
-    codec::setLoopOptFlags({});
 
     // --- Training: profile collection over all study videos -----------
     layout::ProfileCollector profile;
@@ -175,7 +179,13 @@ optimizationStudy(const OptStudyOptions& options)
     }
     trace::setSink(nullptr); // Flushes any pending events.
 
-    auto measure = [&](const std::string& video) {
+    // Graphite stand-in: the loop restructurings, as a compiled binary.
+    codec::Codegen graphite;
+    graphite.interchange_deblock = true;
+    graphite.fuse_lookahead = true;
+
+    auto measure = [&](const std::string& video,
+                       const codec::Codegen& codegen) {
         double total = 0.0;
         int combos = 0;
         for (int crf : options.crf_values) {
@@ -186,6 +196,7 @@ optimizationStudy(const OptStudyOptions& options)
                 config.params = codec::presetParams("medium");
                 config.params.crf = crf;
                 config.params.refs = refs;
+                config.params.codegen = codegen;
                 config.core = uarch::baselineConfig();
                 total += runInstrumented(config).transcode_seconds;
                 ++combos;
@@ -202,19 +213,16 @@ optimizationStudy(const OptStudyOptions& options)
 
         // Baseline: default layout, no loop restructuring.
         trace::registry().resetLayout();
-        codec::setLoopOptFlags({});
-        r.baseline_seconds = measure(video);
+        r.baseline_seconds = measure(video, {});
 
         // AutoFDO stand-in: profile-guided relayout.
         layout::applyProfileGuidedLayout(profile);
-        const double fdo_seconds = measure(video);
+        const double fdo_seconds = measure(video, {});
         trace::registry().resetLayout();
         r.autofdo_speedup = r.baseline_seconds / fdo_seconds - 1.0;
 
         // Graphite stand-in: loop restructuring, default layout.
-        codec::setLoopOptFlags({true, true});
-        const double graphite_seconds = measure(video);
-        codec::setLoopOptFlags({});
+        const double graphite_seconds = measure(video, graphite);
         r.graphite_speedup = r.baseline_seconds / graphite_seconds - 1.0;
 
         results.push_back(std::move(r));

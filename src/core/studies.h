@@ -17,6 +17,7 @@
 
 #include "core/workload.h"
 #include "sched/scheduler.h"
+#include "uarch/config.h"
 
 namespace vtrans::core {
 
@@ -37,12 +38,18 @@ struct StudyOptions
     int jobs = 1;                ///< Worker threads for the parallel
                                  ///< runners (core/parallel.h); < 1 means
                                  ///< hardware concurrency.
+    uarch::CoreParams core = uarch::baselineConfig(); ///< Points' core.
+    codec::Codegen codegen;      ///< The code every point runs.
+    /** Wall-time spans of the parallel runners and the points' phase
+     *  counters (not owned; nullptr = none). */
+    obs::SpanTracer* tracer = nullptr;
 };
 
 /**
- * The `RunConfig` of one crf x refs sweep point (medium preset, baseline
- * core). The serial and parallel sweep runners both build their points
- * through this, so the two paths run bit-identical configurations.
+ * The `RunConfig` of one crf x refs sweep point (medium preset, on
+ * `options.core` and `options.codegen`). The serial and parallel sweep
+ * runners both build their points through this, so the two paths run
+ * bit-identical configurations.
  */
 RunConfig sweepPointConfig(const StudyOptions& options, int crf, int refs);
 

@@ -15,21 +15,6 @@ namespace vtrans::core {
 
 namespace {
 
-/** Applies the process-wide obs toggles to a run's core parameters:
- *  global attribution enables CoreParams::attribute_sites, and a global
- *  phase window fills in a zero per-run one. */
-uarch::CoreParams
-effectiveCoreParams(const RunConfig& config)
-{
-    uarch::CoreParams params = config.core;
-    params.attribute_sites =
-        params.attribute_sites || obs::uarchAttributionEnabled();
-    if (params.phase_window == 0) {
-        params.phase_window = obs::phaseWindow();
-    }
-    return params;
-}
-
 /** Counter-track label identifying the run in the phase time-series. */
 std::string
 phaseLabel(const RunConfig& config)
@@ -38,22 +23,48 @@ phaseLabel(const RunConfig& config)
            + std::to_string(config.params.refs);
 }
 
-/** Post-finish() obs export: fold per-site attribution into the global
- *  report, render phase samples as counter events on the global tracer
- *  and record the model's schedule. Must run after finish() — the drain
- *  charges cycles. */
-void
-exportModelObservability(const uarch::CoreModel& model,
-                         const RunConfig& config)
+/**
+ * One instrumented session on the calling thread: resets the simulated
+ * heap, attaches the core model of `config.core` and runs `work` under
+ * it, then detaches and returns the finished model's statistics.
+ *
+ * When hotspot collection is on, the event stream is tapped through a
+ * tee so the profiler observes exactly what the model accounts; the
+ * model stays first in the chain and sees an unchanged stream either
+ * way. µarch attribution implies profiling: the report needs the
+ * profiler's per-site instruction counts as CPI/MPKI denominators.
+ * After finish() (the drain charges cycles) the per-site attribution is
+ * folded into the global report, phase samples become counter events on
+ * `config.tracer`, and the model's schedule is recorded.
+ */
+template <typename Work>
+uarch::CoreStats
+instrumentedSession(const RunConfig& config, Work&& work)
 {
+    // Deterministic data addresses for this run, whatever ran before.
+    trace::arena().reset();
+    uarch::CoreModel model(config.core);
+    obs::HotspotProfiler profiler;
+    trace::TeeSink tee({&model, &profiler});
+    const bool profiled =
+        obs::hotspotsEnabled() || model.attributionEnabled();
+    trace::setSink(profiled ? static_cast<trace::ProbeSink*>(&tee)
+                            : &model);
+    work();
+    trace::setSink(nullptr); // Consumes every pending event.
+    if (profiled) {
+        obs::hotspotReport().merge(profiler);
+    }
+
+    const uarch::CoreStats stats = model.finish();
     obs::recordCoreSchedule(model.schedule());
     if (model.attributionEnabled()) {
         obs::mergeAttribution(&obs::hotspotReport(), model);
     }
     if (!model.phaseSamples().empty()) {
-        obs::emitPhaseCounters(obs::globalTracer(), model,
-                               phaseLabel(config));
+        obs::emitPhaseCounters(config.tracer, model, phaseLabel(config));
     }
+    return stats;
 }
 
 } // namespace
@@ -88,35 +99,16 @@ mezzanine(const std::string& video, double seconds)
 RunResult
 runInstrumented(const RunConfig& config)
 {
+    // A mezzanine built for this run runs the run's code, too.
+    const codec::CodegenScope codegen(config.params);
     const auto& source = config.input != nullptr
                              ? *config.input
                              : mezzanine(config.video, config.seconds);
-
-    // Deterministic data addresses for this run, whatever ran before.
-    trace::arena().reset();
-
-    // When hotspot collection is on, tap the event stream through a tee
-    // so the profiler observes exactly what the model accounts; the model
-    // stays first in the chain and sees an unchanged stream either way.
-    // µarch attribution implies profiling: the report needs the
-    // profiler's per-site instruction counts as CPI/MPKI denominators.
-    uarch::CoreModel model(effectiveCoreParams(config));
-    obs::HotspotProfiler profiler;
-    trace::TeeSink tee({&model, &profiler});
-    const bool profiled =
-        obs::hotspotsEnabled() || model.attributionEnabled();
-    trace::setSink(profiled ? static_cast<trace::ProbeSink*>(&tee)
-                            : &model);
-    codec::TranscodeResult transcoded =
-        codec::transcode(source, config.params);
-    trace::setSink(nullptr); // Consumes every pending event.
-    if (profiled) {
-        obs::hotspotReport().merge(profiler);
-    }
-
+    codec::TranscodeResult transcoded;
     RunResult result;
-    result.core = model.finish();
-    exportModelObservability(model, config);
+    result.core = instrumentedSession(config, [&] {
+        transcoded = codec::transcode(source, config.params);
+    });
     result.encode = transcoded.stats;
     result.transcode_seconds = result.core.seconds();
     result.psnr = transcoded.psnr();
@@ -130,6 +122,7 @@ runInstrumented(const RunConfig& config)
 codec::EncodeStats
 runNative(const RunConfig& config)
 {
+    const codec::CodegenScope codegen(config.params);
     const auto& source = config.input != nullptr
                              ? *config.input
                              : mezzanine(config.video, config.seconds);
@@ -145,43 +138,27 @@ runInstrumentedChunk(
     const RunConfig& config)
 {
     VT_ASSERT(!slices.empty(), "chunk run with no slices");
-    trace::arena().reset();
-
-    uarch::CoreModel model(effectiveCoreParams(config));
-    obs::HotspotProfiler profiler;
-    trace::TeeSink tee({&model, &profiler});
-    const bool profiled =
-        obs::hotspotsEnabled() || model.attributionEnabled();
-    trace::setSink(profiled ? static_cast<trace::ProbeSink*>(&tee)
-                            : &model);
-
-    // Each slice is an independent closed-GOP transcode (its own encoder
-    // state) — the segment-atom contract that makes the stitched stream
-    // independent of how segments are grouped into chunks.
     std::vector<codec::TranscodeResult> parts;
-    parts.reserve(slices.size());
-    for (const auto* slice : slices) {
-        parts.push_back(codec::transcode(*slice, config.params));
-    }
-    // The in-chunk remux is part of the chunk's work and is itself
-    // instrumented (the bitstream reader/writer trace their traffic).
-    std::vector<const std::vector<uint8_t>*> outputs;
-    outputs.reserve(parts.size());
-    for (const auto& part : parts) {
-        outputs.push_back(&part.output);
-    }
-    std::vector<uint8_t> stitched = chunk::stitch(outputs);
-
-    trace::setSink(nullptr);
-    if (profiled) {
-        obs::hotspotReport().merge(profiler);
-    }
-
     RunResult result;
-    result.core = model.finish();
-    exportModelObservability(model, config);
+    result.core = instrumentedSession(config, [&] {
+        // Each slice is an independent closed-GOP transcode (its own
+        // encoder state) — the segment-atom contract that makes the
+        // stitched stream independent of how segments are grouped into
+        // chunks.
+        parts.reserve(slices.size());
+        for (const auto* slice : slices) {
+            parts.push_back(codec::transcode(*slice, config.params));
+        }
+        // The in-chunk remux is part of the chunk's work and is itself
+        // instrumented (the bitstream reader/writer trace their traffic).
+        std::vector<const std::vector<uint8_t>*> outputs;
+        outputs.reserve(parts.size());
+        for (const auto& part : parts) {
+            outputs.push_back(&part.output);
+        }
+        result.output = chunk::stitch(outputs);
+    });
     result.transcode_seconds = result.core.seconds();
-    result.output = std::move(stitched);
 
     // Aggregate the per-slice encode statistics (frame-weighted means
     // for the rates, plain sums for the counters).

@@ -20,9 +20,15 @@
 #include "codec/params.h"
 #include "uarch/core.h"
 
+namespace vtrans::obs {
+class SpanTracer;
+} // namespace vtrans::obs
+
 namespace vtrans::core {
 
-/** What to run and where to run it. */
+/** What to run and where to run it — the whole configuration of a run
+ *  (codegen in `params`, attribution and phase window in `core`), so
+ *  differently configured runs can execute concurrently. */
 struct RunConfig
 {
     std::string video = "bbb";   ///< vbench short name (or "bbb").
@@ -38,6 +44,10 @@ struct RunConfig
     /** Keep the transcoded bitstream in RunResult::output (chunk jobs
      *  always keep theirs — the stitcher needs the bytes). */
     bool keep_output = false;
+
+    /** Receives the run's phase counters when `core.phase_window` > 0
+     *  (not owned; nullptr = none). */
+    obs::SpanTracer* tracer = nullptr;
 };
 
 /** Everything measured from one run. */

@@ -62,34 +62,38 @@ backoffAfter(const FarmOptions& options, int attempt_number)
 }
 
 void
-Farm::warmupProcess()
+Farm::warmupProcess(const codec::Codegen& codegen)
 {
-    static std::once_flag once;
-    std::call_once(once, [] {
-        // One short native transcode per kernel family: the four presets
-        // below span every motion-estimation method (dia/hex/umh/tesa),
-        // trellis level, B-frame adaptation mode and deblock setting, so
-        // every probe code site registers here — serially, in a fixed
-        // order — before any worker thread can race a registration and
-        // perturb the virtual code layout.
-        for (const char* preset :
-             {"ultrafast", "medium", "slower", "placebo"}) {
-            core::RunConfig cfg;
-            cfg.video = "cat"; // Smallest resolution class (480p scale).
-            cfg.seconds = 0.12;
-            cfg.params = codec::presetParams(preset);
-            core::runNative(cfg);
-        }
-    });
+    static std::mutex mu;
+    static std::vector<codec::Codegen> warmed;
+    std::lock_guard<std::mutex> lock(mu);
+    if (std::find(warmed.begin(), warmed.end(), codegen) != warmed.end()) {
+        return;
+    }
+    warmed.push_back(codegen);
+    // One short native transcode per kernel family: the four presets
+    // below span every motion-estimation method (dia/hex/umh/tesa),
+    // trellis level, B-frame adaptation mode and deblock setting, so
+    // every probe code site of `codegen` registers here — serially, in a
+    // fixed order — before any worker thread can race a registration and
+    // perturb the virtual code layout.
+    for (const char* preset : {"ultrafast", "medium", "slower", "placebo"}) {
+        core::RunConfig cfg;
+        cfg.video = "cat"; // Smallest resolution class (480p scale).
+        cfg.seconds = 0.12;
+        cfg.params = codec::presetParams(preset);
+        cfg.params.codegen = codegen;
+        core::runNative(cfg);
+    }
 }
 
 Farm::Farm(FarmOptions options)
     : options_(std::move(options)),
       injector_(options_.fault_rate, options_.fault_seed)
 {
-    auto pool =
+    cores_ =
         options_.pool.empty() ? uarch::optimizedConfigs() : options_.pool;
-    fleet_ = makeFleet(pool, options_.replicas);
+    fleet_ = makeFleet(cores_, options_.replicas);
     int workers = options_.workers;
     if (workers <= 0) {
         workers = static_cast<int>(std::thread::hardware_concurrency());
@@ -332,12 +336,11 @@ Farm::characterize(const std::vector<Job>& jobs)
     // skips the encode entirely, and single-flight dedups identical
     // signatures racing across farms.
     std::vector<std::function<void()>> tasks;
-    const uarch::CoreParams baseline = uarch::baselineConfig();
     for (auto& run : baseline_runs) {
-        tasks.push_back([&run, &baseline, this] {
+        tasks.push_back([&run, this] {
             const CacheKey ck = cacheKeyFor(run.key, "baseline");
             ResultCache::Value value = cache_->getOrCompute(ck, [&] {
-                return runTask(run.key, run.task, baseline);
+                return runTask(run.key, run.task, "baseline");
             });
             std::lock_guard<std::mutex> lock(results_mu_);
             drain_results_.emplace(ck, value);
@@ -348,8 +351,7 @@ Farm::characterize(const std::vector<Job>& jobs)
         tasks.push_back([this, &cal_runs, &cal_names, &ref, &ref_key, c] {
             const CacheKey ck = cacheKeyFor(ref_key, cal_names[c]);
             ResultCache::Value value = cache_->getOrCompute(ck, [&] {
-                return runTask(ref_key, ref,
-                               uarch::configByName(cal_names[c]));
+                return runTask(ref_key, ref, cal_names[c]);
             });
             std::lock_guard<std::mutex> lock(results_mu_);
             drain_results_.emplace(ck, value);
@@ -383,15 +385,34 @@ Farm::characterize(const std::vector<Job>& jobs)
     }
 }
 
+uarch::CoreParams
+Farm::coreFor(const std::string& config) const
+{
+    // The named Table IV config — the server class the cache key names —
+    // observed the way its pool entry asks (the first entry's way for a
+    // characterization baseline that is not a pool server).
+    const uarch::CoreParams* observed = &cores_.front();
+    for (const uarch::CoreParams& core : cores_) {
+        if (core.name == config) {
+            observed = &core;
+        }
+    }
+    uarch::CoreParams core = uarch::configByName(config);
+    core.attribute_sites = observed->attribute_sites;
+    core.phase_window = observed->phase_window;
+    return core;
+}
+
 core::RunResult
 Farm::runTask(const std::string& key, const sched::Task& task,
-              const uarch::CoreParams& server_core)
+              const std::string& config)
 {
     core::RunConfig cfg;
     cfg.video = task.video;
     cfg.seconds = options_.clip_seconds;
     cfg.params = task.params();
-    cfg.core = server_core;
+    cfg.core = coreFor(config);
+    cfg.tracer = &tracer_;
     const auto it = chunk_work_.find(key);
     if (it == chunk_work_.end()) {
         return core::runInstrumented(cfg);
@@ -705,7 +726,7 @@ Farm::execute(const std::vector<Attempt>& attempts)
             const CacheKey ck = cacheKeyFor(key.first, key.second);
             ResultCache::Value value = cache_->getOrCompute(ck, [&] {
                 return runTask(key.first, key_tasks_.at(key.first),
-                               uarch::configByName(key.second));
+                               key.second);
             });
             std::lock_guard<std::mutex> lock(results_mu_);
             drain_results_.emplace(ck, std::move(value));

@@ -56,7 +56,9 @@ namespace vtrans::farm {
 struct FarmOptions
 {
     /** Server pool; empty = the four Table IV variants. Config names must
-     *  be Table IV names ("baseline" servers predict no speedup). */
+     *  be Table IV names ("baseline" servers predict no speedup): a run
+     *  executes the named config with its entry's attribute_sites and
+     *  phase_window (a baseline not in the pool takes the first entry's). */
     std::vector<uarch::CoreParams> pool;
     int replicas = 1;          ///< Servers per pool configuration.
     int workers = 0;           ///< Worker threads; 0 = hardware concurrency.
@@ -186,14 +188,10 @@ class Farm
      * replays the measured timeline. Timestamps are the run log's
      * simulated seconds scaled to microseconds; attempt spans live on
      * one track per server, so in-track overlap would mean a broken
-     * schedule. Empty before `drain()`.
+     * schedule. The farm's runs add their µarch phase counters here when
+     * the pool sets a phase window. Empty before `drain()`.
      */
     const obs::SpanTracer& spans() const { return tracer_; }
-
-    /** Mutable tracer access, so a caller can route additional tracks
-     *  (e.g. the µarch phase counters, via obs::setGlobalTracer) into
-     *  the same exported trace file. */
-    obs::SpanTracer& tracer() { return tracer_; }
 
     /** Writes the job-lifecycle spans as Chrome trace-event JSON
      *  (Perfetto-viewable); false on I/O error. */
@@ -224,14 +222,15 @@ class Farm
     const FarmOptions& options() const { return options_; }
 
     /**
-     * Registers every probe code site the codec can emit by running a
-     * short warm-up transcode per kernel family, once per process.
-     * Called by `drain()`; exposed so benchmarks can pre-warm outside
-     * the timed region. Site registration order — and therefore the
-     * virtual code layout — must not depend on worker interleaving, so
-     * all registration happens here, serially, before any parallelism.
+     * Registers every probe code site the codec can emit on `codegen` by
+     * running a short warm-up transcode per kernel family, once per
+     * process and codegen. Called by `drain()`; exposed so benchmarks can
+     * pre-warm outside the timed region. Site registration order — and
+     * therefore the virtual code layout — must not depend on worker
+     * interleaving, so all registration happens here, serially, before
+     * any parallelism.
      */
-    static void warmupProcess();
+    static void warmupProcess(const codec::Codegen& codegen = {});
 
   private:
     struct Attempt; // Planning/execution record (internal).
@@ -266,10 +265,15 @@ class Farm
                  const std::vector<Attempt>& attempts);
     void recordMetrics() const;
 
-    /** Runs the instrumented work behind a task signature on `core`:
-     *  chunk keys encode their plan slice, plain keys the whole clip. */
+    /** The CoreParams runs on server class `config` use
+     *  (FarmOptions::pool). */
+    uarch::CoreParams coreFor(const std::string& config) const;
+
+    /** Runs the instrumented work behind a task signature on server
+     *  class `config`: chunk keys encode their plan slice, plain keys
+     *  the whole clip. */
     core::RunResult runTask(const std::string& key, const sched::Task& task,
-                            const uarch::CoreParams& core);
+                            const std::string& config);
 
     /** Computes (and memoizes) the content components of a task
      *  signature: the fingerprint of the exact source bytes the job
@@ -288,6 +292,7 @@ class Farm
                                      const std::string& config) const;
 
     FarmOptions options_;
+    std::vector<uarch::CoreParams> cores_; ///< The resolved pool.
     std::vector<Server> fleet_;
     std::unique_ptr<WorkerPool> pool_;
     Predictor predictor_;

@@ -247,20 +247,4 @@ threadTid()
     return tid;
 }
 
-namespace {
-std::atomic<SpanTracer*> g_tracer{nullptr};
-} // namespace
-
-void
-setGlobalTracer(SpanTracer* tracer)
-{
-    g_tracer.store(tracer, std::memory_order_release);
-}
-
-SpanTracer*
-globalTracer()
-{
-    return g_tracer.load(std::memory_order_acquire);
-}
-
 } // namespace vtrans::obs

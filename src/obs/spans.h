@@ -130,13 +130,6 @@ double wallNowUs();
  *  first-use order), used as the wall-time track id. */
 int64_t threadTid();
 
-/** Installs the process-wide tracer that instrumented phases (e.g.
- *  core::parallelSweep) record into; nullptr uninstalls. */
-void setGlobalTracer(SpanTracer* tracer);
-
-/** The installed process-wide tracer, or nullptr when tracing is off. */
-SpanTracer* globalTracer();
-
 } // namespace vtrans::obs
 
 #endif // VTRANS_OBS_SPANS_H_

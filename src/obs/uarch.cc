@@ -1,6 +1,5 @@
 #include "obs/uarch.h"
 
-#include <atomic>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -8,9 +7,6 @@
 namespace vtrans::obs {
 
 namespace {
-std::atomic<bool> g_uarch_attribution{false};
-std::atomic<uint64_t> g_phase_window{0};
-
 SiteCounters
 toSiteCounters(const uarch::SiteUarch& u)
 {
@@ -44,30 +40,6 @@ perKilo(uint64_t events, uint64_t instructions)
 }
 
 } // namespace
-
-void
-setUarchAttributionEnabled(bool enabled)
-{
-    g_uarch_attribution.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-uarchAttributionEnabled()
-{
-    return g_uarch_attribution.load(std::memory_order_relaxed);
-}
-
-void
-setPhaseWindow(uint64_t instructions)
-{
-    g_phase_window.store(instructions, std::memory_order_relaxed);
-}
-
-uint64_t
-phaseWindow()
-{
-    return g_phase_window.load(std::memory_order_relaxed);
-}
 
 void
 mergeAttribution(HotspotReport* report, const uarch::CoreModel& model)

@@ -5,12 +5,13 @@
  * @file
  * The bridge between the core timing model's per-site µarch attribution
  * (uarch::CoreModel with CoreParams::attribute_sites) and the obs
- * reporting layer: process-wide enable toggles that instrumented runs
- * consult (like setHotspotsEnabled), the merge that folds a finished
- * model's SiteUarch tallies into the HotspotReport, and the phase
- * time-series exporter that renders PhaseSamples as Chrome trace-event
- * counter tracks ("ph":"C") next to the job-lifecycle spans, and the
- * metrics of how each run's model was scheduled.
+ * reporting layer. A run asks for attribution and phase samples on its
+ * own CoreParams (`attribute_sites`, `phase_window`); this file has the
+ * merge that folds a finished model's SiteUarch tallies into the
+ * HotspotReport, the phase time-series exporter that renders
+ * PhaseSamples as Chrome trace-event counter tracks ("ph":"C") next to
+ * the job-lifecycle spans, and the metrics of how each run's model was
+ * scheduled.
  */
 
 #include <cstdint>
@@ -21,22 +22,6 @@
 #include "uarch/core.h"
 
 namespace vtrans::obs {
-
-/** Turns process-wide per-site µarch attribution on/off (default off).
- *  When on, core::runInstrumented sets CoreParams::attribute_sites and
- *  merges the finished model's tallies into hotspotReport(); hotspot
- *  collection rides along so the report also has the per-site
- *  instruction denominators for CPI/MPKI. */
-void setUarchAttributionEnabled(bool enabled);
-
-/** True when instrumented runs should attribute µarch events to sites. */
-bool uarchAttributionEnabled();
-
-/** Process-wide default phase-sampling window in retired instructions
- *  (0 = off, the default). Instrumented runs whose own
- *  CoreParams::phase_window is 0 inherit this value. */
-void setPhaseWindow(uint64_t instructions);
-uint64_t phaseWindow();
 
 /** Merges a finished model's per-site attribution into `report`, keyed
  *  by registry site name (thread-safe through the report's lock). The

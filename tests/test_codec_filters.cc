@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "codec/deblock.h"
-#include "codec/loopflags.h"
 #include "codec/lookahead.h"
+#include "codec/params.h"
 #include "common/rng.h"
 #include "video/frame.h"
 #include "video/generate.h"
@@ -111,11 +111,13 @@ TEST(Deblock, InterchangedScheduleIsBitExact)
     b.copyFrom(a);
     std::vector<int> qp_map(6 * 4, 30);
 
-    codec::setLoopOptFlags({});
     codec::deblockFrame(a, {true, 0, 0}, qp_map.data(), 6, 4);
-    codec::setLoopOptFlags({true, false});
-    codec::deblockFrame(b, {true, 0, 0}, qp_map.data(), 6, 4);
-    codec::setLoopOptFlags({});
+    codec::EncoderParams interchanged;
+    interchanged.codegen.interchange_deblock = true;
+    {
+        const codec::CodegenScope codegen(interchanged);
+        codec::deblockFrame(b, {true, 0, 0}, qp_map.data(), 6, 4);
+    }
 
     EXPECT_EQ(video::planeMse(a, b, Plane::Y), 0.0);
     EXPECT_EQ(video::planeMse(a, b, Plane::Cb), 0.0);
@@ -134,13 +136,13 @@ TEST(Lookahead, FusedCostsAreBitExact)
     spec.seed = 17;
     const auto frames = video::generateVideo(spec);
 
-    codec::setLoopOptFlags({});
     const auto plain =
         codec::estimateFrameCosts(frames[2], &frames[1]);
-    codec::setLoopOptFlags({false, true});
+    codec::EncoderParams fusing;
+    fusing.codegen.fuse_lookahead = true;
+    const codec::CodegenScope codegen(fusing);
     const auto fused =
         codec::estimateFrameCosts(frames[2], &frames[1]);
-    codec::setLoopOptFlags({});
 
     EXPECT_EQ(plain.intra_cost, fused.intra_cost);
     EXPECT_EQ(plain.inter_cost, fused.inter_cost);

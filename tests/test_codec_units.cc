@@ -668,6 +668,15 @@ TEST(ParamsDigest, PresetLabelAndInertRateControlFieldsAreExcluded)
     plain.preset = "";
     EXPECT_EQ(codec::canonicalDigest(plain),
               codec::canonicalDigest(codec::presetParams("medium")));
+
+    // The default codegen renders nothing: the default digest is the one
+    // every cache key and pinned golden was computed with before codegen
+    // became a parameter.
+    EXPECT_EQ(codec::canonicalString(plain),
+              "rc=CRF;crf=23;refs=3;keyint=250;bframes=3;badapt=1;"
+              "scenecut=40;me=hex;merange=16;subme=7;parts=111;trellis=1;"
+              "aq=1;aqs=1;deblock=1;dbab=1,0;");
+    EXPECT_EQ(codec::canonicalDigest(plain), 0x66684a59eda1a4eeull);
 }
 
 TEST(ParamsDigest, FeatureGatedFieldsAreInertWhenTheFeatureIsOff)
@@ -716,6 +725,15 @@ TEST(ParamsDigest, ActiveFieldsChangeTheDigest)
         p.rc = codec::RateControl::ABR;
         p.bitrate_kbps = 1000.0;
     });
+    // Codegen does not change the bitstream but does change what a
+    // simulated run measures, so each choice gets its own digest.
+    mutate([](codec::EncoderParams& p) {
+        p.codegen.kernel_model = codec::KernelModel::Vector;
+    });
+    mutate([](codec::EncoderParams& p) {
+        p.codegen.interchange_deblock = true;
+    });
+    mutate([](codec::EncoderParams& p) { p.codegen.fuse_lookahead = true; });
 }
 
 TEST(ParamsDigest, NoCollisionsAcrossThePresetSweepCorpus)

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "codec/decoder.h"
-#include "codec/loopflags.h"
 #include "codec/transcode.h"
 #include "core/studies.h"
 #include "core/workload.h"
@@ -51,11 +50,10 @@ TEST(Integration, LoopOptFlagsDoNotChangeOutput)
     const auto& source = core::mezzanine("cricket", 0.4);
     codec::EncoderParams params = codec::presetParams("medium");
 
-    codec::setLoopOptFlags({});
     const auto plain = codec::transcode(source, params);
-    codec::setLoopOptFlags({true, true});
+    params.codegen.interchange_deblock = true;
+    params.codegen.fuse_lookahead = true;
     const auto restructured = codec::transcode(source, params);
-    codec::setLoopOptFlags({});
 
     EXPECT_EQ(plain.output, restructured.output)
         << "loop restructuring changed the encoded bits";

@@ -88,13 +88,14 @@ TEST(KernelStrategies, SelectionRoundTrips)
 
 TEST(KernelStrategies, KernelModelParses)
 {
-    EXPECT_EQ(codec::kernelModel(), codec::KernelModel::Scalar);
-    EXPECT_TRUE(codec::setKernelModel("vector"));
-    EXPECT_EQ(codec::kernelModel(), codec::KernelModel::Vector);
-    EXPECT_FALSE(codec::setKernelModel("simd"));
-    EXPECT_EQ(codec::kernelModel(), codec::KernelModel::Vector);
-    EXPECT_TRUE(codec::setKernelModel("scalar"));
-    EXPECT_EQ(codec::kernelModel(), codec::KernelModel::Scalar);
+    codec::KernelModel model = codec::EncoderParams().codegen.kernel_model;
+    EXPECT_EQ(model, codec::KernelModel::Scalar);
+    EXPECT_TRUE(codec::parseKernelModel("vector", &model));
+    EXPECT_EQ(model, codec::KernelModel::Vector);
+    EXPECT_FALSE(codec::parseKernelModel("simd", &model));
+    EXPECT_EQ(model, codec::KernelModel::Vector);
+    EXPECT_TRUE(codec::parseKernelModel("scalar", &model));
+    EXPECT_EQ(model, codec::KernelModel::Scalar);
 }
 
 /** The checked entry points refuse shapes the vector backends cannot
@@ -607,12 +608,13 @@ TEST(VectorModel, OptInShiftAndDefaultIdentity)
     config.keep_output = true;
     core::mezzanine(config.video, config.seconds);
 
-    ASSERT_EQ(codec::kernelModel(), codec::KernelModel::Scalar);
+    ASSERT_EQ(config.params.codegen.kernel_model,
+              codec::KernelModel::Scalar);
     const core::RunResult base = core::runInstrumented(config);
 
-    codec::setKernelModel(codec::KernelModel::Vector);
-    const core::RunResult vec = core::runInstrumented(config);
-    codec::setKernelModel(codec::KernelModel::Scalar);
+    core::RunConfig vector_config = config;
+    vector_config.params.codegen.kernel_model = codec::KernelModel::Vector;
+    const core::RunResult vec = core::runInstrumented(vector_config);
 
     // The cost model must not touch pixels: identical bitstream.
     EXPECT_EQ(vec.output, base.output);

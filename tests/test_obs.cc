@@ -311,7 +311,9 @@ AttributedRun
 attributedTranscode(const std::string& preset, const std::string& video,
                     double seconds,
                     uint32_t batch = trace::kDefaultProbeBatch,
-                    uint64_t phase_window = 0)
+                    uint64_t phase_window = 0,
+                    codec::KernelModel kernel_model =
+                        codec::KernelModel::Scalar)
 {
     farm::Farm::warmupProcess();
     const auto& source = core::mezzanine(video, seconds);
@@ -322,8 +324,10 @@ attributedTranscode(const std::string& preset, const std::string& video,
     AttributedRun run;
     run.model = std::make_unique<uarch::CoreModel>(params);
     trace::TeeSink tee({run.model.get(), &run.profiler});
+    codec::EncoderParams encode = codec::presetParams(preset);
+    encode.codegen.kernel_model = kernel_model;
     trace::setSink(&tee, batch);
-    codec::transcode(source, codec::presetParams(preset));
+    codec::transcode(source, encode);
     trace::setSink(nullptr);
     run.core = run.model->finish();
     return run;
@@ -429,9 +433,9 @@ TEST(UarchAttribution, ReportTotalsMatchSweepCoreStats)
     options.video = "cat";
     options.seconds = 0.1;
     options.verbose = false;
+    options.core.attribute_sites = true;
     core::mezzanine(options.video, options.seconds);
 
-    obs::setUarchAttributionEnabled(true);
     for (int jobs : {1, 4}) {
         SCOPED_TRACE("jobs " + std::to_string(jobs));
         options.jobs = jobs;
@@ -469,21 +473,21 @@ TEST(UarchAttribution, ReportTotalsMatchSweepCoreStats)
                   want.slots_backend_memory);
         EXPECT_EQ(totals.slots_backend_core, want.slots_backend_core);
     }
-    obs::setUarchAttributionEnabled(false);
     obs::hotspotReport().reset();
 }
 
 std::string
 farmJsonlAttributed(int workers, bool attributed)
 {
-    obs::setUarchAttributionEnabled(attributed);
-    farm::Farm service(fastFarmOptions(workers));
+    farm::FarmOptions options = fastFarmOptions(workers);
+    for (uarch::CoreParams& core : options.pool) {
+        core.attribute_sites = attributed;
+    }
+    farm::Farm service(options);
     for (const auto& req : smallJobStream(5, 1)) {
         service.submit(req);
     }
-    const std::string jsonl = service.drain().toJsonl();
-    obs::setUarchAttributionEnabled(false);
-    return jsonl;
+    return service.drain().toJsonl();
 }
 
 TEST(UarchAttribution, AttributionDoesNotPerturbFarmResults)
@@ -595,11 +599,11 @@ TEST(UarchDiff, ScalarVsVectorDeltaLandsInVectorizedFamilies)
     // model retires far fewer instructions in the SIMD-converted cost
     // kernels (SAD/SATD/DCT/quant), so the cycle delta must concentrate
     // in the families those kernels map to.
-    auto reportData = [](const std::string& kernel_model,
+    auto reportData = [](codec::KernelModel kernel_model,
                          obs::ReportData* out) {
-        ASSERT_TRUE(codec::setKernelModel(kernel_model));
-        const AttributedRun run =
-            attributedTranscode("medium", "funny", 0.1);
+        const AttributedRun run = attributedTranscode(
+            "medium", "funny", 0.1, trace::kDefaultProbeBatch, 0,
+            kernel_model);
         obs::HotspotReport report;
         report.merge(run.profiler);
         obs::mergeAttribution(&report, *run.model);
@@ -608,9 +612,8 @@ TEST(UarchDiff, ScalarVsVectorDeltaLandsInVectorizedFamilies)
     };
     obs::ReportData scalar;
     obs::ReportData vec;
-    reportData("scalar", &scalar);
-    reportData("vector", &vec);
-    codec::setKernelModel("scalar"); // Restore the process default.
+    reportData(codec::KernelModel::Scalar, &scalar);
+    reportData(codec::KernelModel::Vector, &vec);
 
     const obs::ReportDiff diff = obs::diffReports(scalar, vec);
     // Vectorization is a win: fewer instructions, fewer cycles.

@@ -10,11 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/parallel.h"
 #include "core/studies.h"
+#include "farm/farm.h"
 #include "farm/runlog.h"
+#include "obs/spans.h"
 #include "trace/probe.h"
 
 namespace vtrans::core {
@@ -132,6 +136,84 @@ TEST(ParallelSweep, PresetStudyMatchesSerialAtAnyWorkerCount)
                   farm::fingerprint(serial[i].run))
             << "preset " << parallel[i].preset;
     }
+}
+
+/** The counter events a run left on its tracer, without the emitting
+ *  thread's track id (the only field that depends on where it ran). */
+std::vector<std::string>
+phaseCounters(const obs::SpanTracer& tracer)
+{
+    std::vector<std::string> out;
+    for (const obs::Span& span : tracer.spans()) {
+        std::string row = span.name + " @" + std::to_string(span.ts_us);
+        for (const auto& [key, value] : span.values) {
+            row += " " + key + "=" + std::to_string(value);
+        }
+        out.push_back(std::move(row));
+    }
+    return out;
+}
+
+TEST(ParallelSweep, ConcurrentRunConfigsMatchSerialRuns)
+{
+    // A/B variants of one workload run at once, each on its own thread:
+    // the scalar and vector kernel models, the Graphite loop schedules,
+    // and attribution with a phase window into its own tracer. A run's
+    // configuration is its RunConfig alone, so each must reproduce a
+    // serial run of the same config bit for bit.
+    const StudyOptions study = fastStudy(1);
+    std::vector<RunConfig> configs(4, sweepPointConfig(study, 23, 3));
+    configs[1].params.codegen.kernel_model = codec::KernelModel::Vector;
+    configs[2].params.codegen.interchange_deblock = true;
+    configs[2].params.codegen.fuse_lookahead = true;
+    configs[3].core.attribute_sites = true;
+    configs[3].core.phase_window = 100000;
+
+    // Register every variant's code sites before any run, as a batch
+    // runner does before its fan-out.
+    for (const RunConfig& config : configs) {
+        farm::Farm::warmupProcess(config.params.codegen);
+    }
+    mezzanine(study.video, study.seconds);
+
+    obs::SpanTracer serial_tracer;
+    obs::SpanTracer concurrent_tracer;
+    std::vector<RunResult> serial;
+    for (RunConfig config : configs) {
+        config.tracer = &serial_tracer;
+        serial.push_back(runInstrumented(config));
+    }
+
+    std::vector<RunResult> concurrent(configs.size());
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < configs.size(); ++i) {
+        threads.emplace_back([&, i] {
+            RunConfig config = configs[i];
+            config.tracer = &concurrent_tracer;
+            concurrent[i] = runInstrumented(config);
+        });
+    }
+    for (std::thread& t : threads) {
+        t.join();
+    }
+
+    for (size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE("config " + std::to_string(i));
+        EXPECT_EQ(farm::fingerprint(concurrent[i]),
+                  farm::fingerprint(serial[i]));
+        EXPECT_EQ(concurrent[i].core.instructions,
+                  serial[i].core.instructions);
+        EXPECT_EQ(concurrent[i].core.cycles, serial[i].core.cycles);
+        EXPECT_EQ(concurrent[i].core.l1i_misses, serial[i].core.l1i_misses);
+    }
+    // Each variant really ran its own code.
+    EXPECT_LT(serial[1].core.instructions, serial[0].core.instructions);
+    EXPECT_NE(farm::fingerprint(serial[2]), farm::fingerprint(serial[0]));
+    EXPECT_EQ(farm::fingerprint(serial[3]), farm::fingerprint(serial[0]));
+    // Only the phase-window run emitted counters, identical either way.
+    const auto phases = phaseCounters(serial_tracer);
+    EXPECT_FALSE(phases.empty());
+    EXPECT_EQ(phaseCounters(concurrent_tracer), phases);
 }
 
 } // namespace

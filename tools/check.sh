@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI-style smoke check: configure, build, run the full test suite,
+# CI-style smoke check: guard against process-wide run setters,
+# configure, build, run the full test suite,
 # exercise the transcoding-farm service end to end (whole-video and
 # GOP-chunked job graphs), then rebuild the core-model, kernel, probe and
 # codec suites under AddressSanitizer+UBSan
@@ -17,6 +18,18 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
+
+echo "== run configuration guard: no process-wide run setters =="
+# Attribution, the phase window, the phase-counter tracer, the Graphite
+# loop schedules and the kernel cost model are per-run values carried in
+# RunConfig / EncoderParams (DESIGN.md, "Run configuration"). Fail if a
+# process-wide setter for any of them comes back. The pattern spells the
+# names as set(A|B|...), so this line never matches itself.
+RETIRED_SETTERS='set(UarchAttributionEnabled|PhaseWindow|GlobalTracer|LoopOptFlags|KernelModel)\b'
+if grep -rnE "$RETIRED_SETTERS" src bench examples tests tools; then
+    echo "process-wide run setter found; pass the value in the run's config" >&2
+    exit 1
+fi
 
 echo "== configure =="
 cmake -B "$BUILD_DIR" -S .
