@@ -241,6 +241,34 @@ parseBenchOptions(const Cli& cli)
     return options;
 }
 
+/**
+ * Times two arms in `pairs` interleaved pairs, alternating which runs
+ * first (a-b, b-a, ...). Host speed drifts on a shared machine, and the
+ * drift moves both halves of a pair alike, so a gate reads the median
+ * of the returned per-pair `a() / b()` ratios rather than comparing
+ * each arm's best of separate blocks. `a()` and `b()` each run their
+ * arm once and return its seconds.
+ */
+template <typename A, typename B>
+std::vector<double>
+interleavedRatios(int pairs, A&& a, B&& b)
+{
+    std::vector<double> ratios;
+    for (int pair = 0; pair < pairs; ++pair) {
+        double a_seconds = 0.0;
+        double b_seconds = 0.0;
+        if (pair % 2 == 0) {
+            a_seconds = a();
+            b_seconds = b();
+        } else {
+            b_seconds = b();
+            a_seconds = a();
+        }
+        ratios.push_back(a_seconds / b_seconds);
+    }
+    return ratios;
+}
+
 /** Prints a section banner. */
 inline void
 banner(const std::string& title)

@@ -12,9 +12,12 @@
  * scalar reference — a cheap always-on exactness check riding along with
  * the timing (the exhaustive differential suite is tests/test_kernels.cc).
  *
+ * Each vector backend is timed against scalar in --reps interleaved
+ * pairs, alternating which runs first, and its speedup is the median of
+ * the pairs' ratios: host drift moves both halves of a pair alike.
  * --min-speedup gates the *best* vector backend's speedup on the ME cost
  * kernels (sad16x16, satd4x4) — the kernels the paper's hotspot profile
- * is dominated by; tools/check.sh runs this gate at 2.0 on Release
+ * is dominated by; tools/check.sh runs this gate at 1.5 on Release
  * builds. The other kernels are reported but not gated (the 4x4
  * transforms are too small to promise a fixed margin on every host).
  *
@@ -33,10 +36,12 @@
 #include <string>
 #include <vector>
 
+#include "bench/benchutil.h"
 #include "codec/strategies/strategies.h"
 #include "codec/tables.h"
 #include "common/cli.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "core/workload.h"
 #include "farm/runlog.h"
@@ -117,46 +122,77 @@ struct KernelReport
     }
 };
 
-/** Times `body(ops)` best-of-reps per backend; body returns a checksum. */
+/**
+ * Times `body(ops)` per backend; body returns a checksum. Each vector
+ * backend runs against the scalar reference in `reps` interleaved pairs
+ * (bench::interleavedRatios): its speedup is the median of the pairs'
+ * scalar/vector ratios, and every ns/call is the median of that
+ * backend's own runs. With no vector backend, scalar runs `reps` times.
+ */
 template <typename Body>
 KernelReport
 measure(const std::string& name, uint64_t calls, int reps,
         const std::vector<std::pair<std::string, const KernelOps*>>& backends,
         bool quiet, Body body)
 {
+    auto timed = [&](const KernelOps& ops, uint64_t& checksum,
+                     std::vector<double>& seconds) {
+        const auto t0 = Clock::now();
+        checksum = body(ops);
+        seconds.push_back(
+            std::chrono::duration<double>(Clock::now() - t0).count());
+        return seconds.back();
+    };
+    auto nsPerCall = [&](const std::vector<double>& seconds) {
+        return percentile(seconds, 50.0) * 1e9 / static_cast<double>(calls);
+    };
+
     KernelReport report;
     report.name = name;
     report.calls = calls;
-    for (const auto& [isa, ops] : backends) {
-        Timing t;
-        t.isa = isa;
-        double best = 1e100;
+    Timing scalar;
+    scalar.isa = backends.front().first;
+    std::vector<double> scalar_seconds;
+    auto scalar_arm = [&] {
+        return timed(*backends.front().second, scalar.checksum,
+                     scalar_seconds);
+    };
+    if (backends.size() == 1) {
         for (int rep = 0; rep < reps; ++rep) {
-            const auto t0 = Clock::now();
-            t.checksum = body(*ops);
-            const double secs =
-                std::chrono::duration<double>(Clock::now() - t0).count();
-            best = std::min(best, secs);
+            scalar_arm();
         }
-        t.ns_per_call = best * 1e9 / static_cast<double>(calls);
-        if (!report.timings.empty()) {
-            t.speedup = report.timings.front().ns_per_call / t.ns_per_call;
-            if (t.checksum != report.timings.front().checksum) {
-                std::fprintf(stderr,
-                             "EXACTNESS FAIL [%s] %s checksum %llx != "
-                             "scalar %llx\n",
-                             name.c_str(), isa.c_str(),
-                             static_cast<unsigned long long>(t.checksum),
-                             static_cast<unsigned long long>(
-                                 report.timings.front().checksum));
-                report.exact = false;
-            }
+    }
+    std::vector<Timing> vectors;
+    for (size_t b = 1; b < backends.size(); ++b) {
+        Timing t;
+        t.isa = backends[b].first;
+        std::vector<double> seconds;
+        const std::vector<double> ratios = bench::interleavedRatios(
+            reps, scalar_arm,
+            [&] { return timed(*backends[b].second, t.checksum, seconds); });
+        t.speedup = percentile(ratios, 50.0);
+        t.ns_per_call = nsPerCall(seconds);
+        if (t.checksum != scalar.checksum) {
+            std::fprintf(stderr,
+                         "EXACTNESS FAIL [%s] %s checksum %llx != "
+                         "scalar %llx\n",
+                         name.c_str(), t.isa.c_str(),
+                         static_cast<unsigned long long>(t.checksum),
+                         static_cast<unsigned long long>(scalar.checksum));
+            report.exact = false;
         }
-        if (!quiet) {
-            std::printf("%-12s %-7s %8.1f ns/call   x%.2f\n", name.c_str(),
-                        isa.c_str(), t.ns_per_call, t.speedup);
-        }
+        vectors.push_back(std::move(t));
+    }
+    scalar.ns_per_call = nsPerCall(scalar_seconds);
+    report.timings.push_back(std::move(scalar));
+    for (Timing& t : vectors) {
         report.timings.push_back(std::move(t));
+    }
+    if (!quiet) {
+        for (const Timing& t : report.timings) {
+            std::printf("%-12s %-7s %8.1f ns/call   x%.2f\n", name.c_str(),
+                        t.isa.c_str(), t.ns_per_call, t.speedup);
+        }
     }
     return report;
 }
@@ -425,7 +461,9 @@ main(int argc, char** argv)
         std::fprintf(fp, "  ],\n");
         std::fprintf(fp,
                      "  \"gate\": {\"min_speedup\": %.2f, \"kernels\": "
-                     "[\"sad16x16\", \"satd4x4\"], \"pass\": %s}\n",
+                     "[\"sad16x16\", \"satd4x4\"], \"statistic\": "
+                     "\"median of interleaved scalar/vector pairs\", "
+                     "\"pass\": %s}\n",
                      min_speedup, gate_pass ? "true" : "false");
         std::fprintf(fp, "}\n");
         std::fclose(fp);

@@ -27,8 +27,10 @@
  * threads, when the machine has the CPUs for it, and checks that its
  * CoreStats match. --min-model-speedup R (0 = off) runs the model
  * sink's event-driven fast-forward against the instruction-stepped
- * oracle (tests/support/reference_core.h) in the same binary, asserts
- * their CoreStats are bit-identical, and fails below R x.
+ * oracle (tests/support/reference_core.h) in the same binary, in --reps
+ * interleaved pairs (alternating which runs first), asserts their
+ * CoreStats are bit-identical, and fails if the median of the pairs'
+ * speedups is below R x.
  * --attr-overhead R (0 = off) measures the model sink at the default
  * batch with per-site attribution on and off in interleaved pairs
  * (alternating which runs first), asserts the CoreStats are identical
@@ -50,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/benchutil.h"
 #include "common/cli.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -429,41 +432,52 @@ main(int argc, char** argv)
     // fast-forward must be at least --min-model-speedup x faster.
     double model_speedup_vs_reference = 0.0;
     if (min_model_speedup > 0.0) {
-        const Measurement ref = runMode("model", default_batch, iters,
-                                        reps, false, stream, true);
-        const Measurement opt = runMode("model", default_batch, iters,
-                                        reps, false, stream, false);
-        model_speedup_vs_reference =
-            opt.best_seconds > 0.0 ? ref.best_seconds / opt.best_seconds
-                                   : 0.0;
-        identical &= statsIdentical(opt.stats, ref.stats,
-                                    "fast-forward vs reference stepping");
+        Measurement ref;
+        Measurement opt;
+        const std::vector<double> ratios = bench::interleavedRatios(
+            reps,
+            [&] {
+                ref = runMode("model", default_batch, iters, 1, false,
+                              stream, true);
+                return ref.best_seconds;
+            },
+            [&] {
+                opt = runMode("model", default_batch, iters, 1, false,
+                              stream, false);
+                identical &= statsIdentical(
+                    opt.stats, ref.stats,
+                    "fast-forward vs reference stepping");
+                return opt.best_seconds;
+            });
+        model_speedup_vs_reference = percentile(ratios, 50.0);
         std::printf("model fast-forward vs reference stepping: x%.2f "
-                    "(required x%.2f)\n",
-                    model_speedup_vs_reference, min_model_speedup);
+                    "median of %d pairs (required x%.2f)\n",
+                    model_speedup_vs_reference, reps, min_model_speedup);
     }
 
     // --- Optional attribution-overhead gate: the model sink at the
     // default batch with per-site attribution off vs on. Attribution is
-    // pure accounting, so the CoreStats must not change at all. Host
-    // speed drifts on a shared machine, so the runs alternate in pairs
-    // (off-on, on-off, ...) and the gate reads the median of the pairs'
-    // ratios: drift moves both halves of a pair alike.
+    // pure accounting, so the CoreStats must not change at all. The runs
+    // alternate in pairs and the gate reads the median of the pairs'
+    // ratios (bench::interleavedRatios).
     double attr_slowdown = 0.0;
     if (attr_overhead > 0.0) {
-        std::vector<double> ratios;
-        for (int pair = 0; pair < kAttrPairs; ++pair) {
-            const bool on_first = pair % 2 == 1;
-            const Measurement first = runMode("model", default_batch, iters,
-                                              1, on_first, stream);
-            const Measurement second = runMode("model", default_batch,
-                                               iters, 1, !on_first, stream);
-            const Measurement& on = on_first ? first : second;
-            const Measurement& off = on_first ? second : first;
-            ratios.push_back(on.best_seconds / off.best_seconds);
-            identical &= statsIdentical(on.stats, off.stats,
-                                        "attribution on vs off");
-        }
+        Measurement on;
+        Measurement off;
+        const std::vector<double> ratios = bench::interleavedRatios(
+            kAttrPairs,
+            [&] {
+                on = runMode("model", default_batch, iters, 1, true,
+                             stream);
+                return on.best_seconds;
+            },
+            [&] {
+                off = runMode("model", default_batch, iters, 1, false,
+                              stream);
+                identical &= statsIdentical(on.stats, off.stats,
+                                            "attribution on vs off");
+                return off.best_seconds;
+            });
         attr_slowdown = percentile(ratios, 50.0);
         std::printf("attribution overhead (model, batch %u): x%.3f median "
                     "of %d pairs, x%.3f..x%.3f (limit x%.3f)\n",

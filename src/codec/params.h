@@ -55,8 +55,9 @@ enum class KernelModel : uint8_t { Scalar, Vector };
  * and the Graphite loop transformations (-floop-interchange
  * -ftree-loop-distribution -floop-block, paper §III-D1). Every choice
  * produces the same bitstream and pixels; only the probe stream the
- * simulated core sees changes. The loop schedules are verified legal by
- * the loopopt dependence test (tests/test_loopopt.cc).
+ * simulated core sees changes. Each loop schedule is checked legal by
+ * the byte-identity tests in tests/test_codec_filters.cc (interchanged
+ * deblock pixels, fused lookahead costs).
  */
 struct Codegen
 {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/table.h"
-
 namespace vtrans {
 
 double
@@ -19,72 +17,6 @@ percentile(std::vector<double> values, double p)
     const size_t hi = std::min(lo + 1, values.size() - 1);
     const double frac = rank - lo;
     return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-void
-StatSet::add(const std::string& name, double delta)
-{
-    for (auto& [n, v] : entries_) {
-        if (n == name) {
-            v += delta;
-            return;
-        }
-    }
-    entries_.emplace_back(name, delta);
-}
-
-void
-StatSet::set(const std::string& name, double value)
-{
-    for (auto& [n, v] : entries_) {
-        if (n == name) {
-            v = value;
-            return;
-        }
-    }
-    entries_.emplace_back(name, value);
-}
-
-double
-StatSet::get(const std::string& name) const
-{
-    for (const auto& [n, v] : entries_) {
-        if (n == name) {
-            return v;
-        }
-    }
-    return 0.0;
-}
-
-bool
-StatSet::has(const std::string& name) const
-{
-    for (const auto& [n, v] : entries_) {
-        if (n == name) {
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-StatSet::merge(const StatSet& other)
-{
-    for (const auto& [n, v] : other.entries_) {
-        add(n, v);
-    }
-}
-
-std::string
-StatSet::toText() const
-{
-    Table t({"stat", "value"});
-    for (const auto& [n, v] : entries_) {
-        t.beginRow();
-        t.cell(n);
-        t.cell(v, 4);
-    }
-    return t.toText();
 }
 
 } // namespace vtrans

@@ -3,24 +3,14 @@
 
 /**
  * @file
- * Lightweight named statistics used throughout the simulator: ordered
- * name -> double pairs with merge and pretty-print support.
+ * Sample statistics shared by the farm run log, the observability
+ * metrics and the benchmarks.
  */
 
-#include <cstdint>
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace vtrans {
 
-/**
- * An insertion-ordered collection of named scalar statistics.
- *
- * Deliberately simpler than gem5's stats package: counters are plain
- * doubles, lookup is linear (counts are small), and rendering goes through
- * Table. Suitable for per-run summaries, not per-cycle hot paths.
- */
 /**
  * The p-th percentile (0..100) of a sample by linear interpolation
  * between order statistics; 0 for an empty sample, p clamped to [0, 100].
@@ -28,37 +18,6 @@ namespace vtrans {
  * log and the observability metrics histograms.
  */
 double percentile(std::vector<double> values, double p);
-
-class StatSet
-{
-  public:
-    /** Adds `delta` to the named stat, creating it at zero if absent. */
-    void add(const std::string& name, double delta);
-
-    /** Sets the named stat, creating it if absent. */
-    void set(const std::string& name, double value);
-
-    /** Returns the named stat's value, or 0.0 if absent. */
-    double get(const std::string& name) const;
-
-    /** True if the stat exists. */
-    bool has(const std::string& name) const;
-
-    /** Accumulates every stat from `other` into this set. */
-    void merge(const StatSet& other);
-
-    /** All stats in insertion order. */
-    const std::vector<std::pair<std::string, double>>& entries() const
-    {
-        return entries_;
-    }
-
-    /** Renders a two-column name/value text table. */
-    std::string toText() const;
-
-  private:
-    std::vector<std::pair<std::string, double>> entries_;
-};
 
 } // namespace vtrans
 

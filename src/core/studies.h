@@ -5,11 +5,15 @@
  * @file
  * The paper's experiments as reusable studies. Each corresponds to one or
  * more tables/figures (see DESIGN.md's per-experiment index):
- *  - crfRefsSweep      -> Figures 3, 4, 5
- *  - presetStudy       -> Figure 6 (a-d)
- *  - videoStudy        -> Figure 7 (a-c)
- *  - optimizationStudy -> Figure 8 (AutoFDO & Graphite)
- *  - schedulerStudy    -> Figure 9 (+ Tables III & IV)
+ *  - parallelCrfRefsSweep -> Figures 3, 4, 5 (core/parallel.h)
+ *  - parallelPresetStudy  -> Figure 6 (a-d)  (core/parallel.h)
+ *  - parallelVideoStudy   -> Figure 7 (a-c)  (core/parallel.h)
+ *  - optimizationStudy    -> Figure 8 (AutoFDO & Graphite)
+ *  - schedulerStudy       -> Figure 9 (+ Tables III & IV)
+ *
+ * This header holds the point types and point configurations the
+ * Figure 3-7 runners share; their serial oracles are test-only
+ * (tests/support/serial_studies.h).
  */
 
 #include <string>
@@ -47,9 +51,9 @@ struct StudyOptions
 
 /**
  * The `RunConfig` of one crf x refs sweep point (medium preset, on
- * `options.core` and `options.codegen`). The serial and parallel sweep
- * runners both build their points through this, so the two paths run
- * bit-identical configurations.
+ * `options.core` and `options.codegen`). The parallel sweep runner and
+ * its serial test oracle both build their points through this, so the
+ * two paths run bit-identical configurations.
  */
 RunConfig sweepPointConfig(const StudyOptions& options, int crf, int refs);
 
@@ -60,11 +64,6 @@ RunConfig presetPointConfig(const StudyOptions& options,
 /** The `RunConfig` of one video-study point (medium, crf 23, refs 3). */
 RunConfig videoPointConfig(const StudyOptions& options,
                            const std::string& video);
-
-/** Figures 3/4/5: sweep crf x refs at the medium preset. */
-std::vector<SweepPoint> crfRefsSweep(const std::vector<int>& crf_values,
-                                     const std::vector<int>& refs_values,
-                                     const StudyOptions& options);
 
 /** The default subsampled grid (Delta-crf 5; refs 1,2,3,4,6,8,12,16). */
 std::vector<int> defaultCrfGrid();
@@ -80,9 +79,6 @@ struct PresetResult
     RunResult run;
 };
 
-/** Figure 6: all ten presets at crf 23, refs 3. */
-std::vector<PresetResult> presetStudy(const StudyOptions& options);
-
 /** One video's measurements (Figure 7). */
 struct VideoResult
 {
@@ -91,9 +87,6 @@ struct VideoResult
     double entropy = 0.0;
     RunResult run;
 };
-
-/** Figure 7: all vbench videos at medium/23/3, Table I order. */
-std::vector<VideoResult> videoStudy(const StudyOptions& options);
 
 /** Per-video outcome of the compiler-optimization study (Figure 8). */
 struct OptResult

@@ -59,12 +59,6 @@ Predictor::learn(const std::string& task_key, double baseline_seconds,
     tasks_[task_key] = TaskProfile{baseline_seconds, profile};
 }
 
-bool
-Predictor::knows(const std::string& task_key) const
-{
-    return tasks_.count(task_key) > 0;
-}
-
 const Predictor::TaskProfile&
 Predictor::profileFor(const std::string& task_key) const
 {

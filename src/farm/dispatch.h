@@ -63,9 +63,6 @@ class Predictor
     void learn(const std::string& task_key, double baseline_seconds,
                const uarch::TopDown& profile);
 
-    /** True once `learn()` has seen this task signature. */
-    bool knows(const std::string& task_key) const;
-
     /**
      * Predicted fractional speedup of `config_name` over baseline for
      * this task (0 for the baseline config or an unknown config).

@@ -211,13 +211,6 @@ Farm::submitChunked(const JobRequest& request,
     return stitch_id;
 }
 
-size_t
-Farm::submitted() const
-{
-    std::lock_guard<std::mutex> lock(submit_mu_);
-    return intake_.size();
-}
-
 void
 Farm::digestKey(const std::string& key, const sched::Task& task)
 {

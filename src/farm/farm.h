@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "chunk/chunk.h"
+#include "core/workload.h"
 #include "farm/cache.h"
 #include "farm/dispatch.h"
 #include "farm/job.h"
@@ -48,6 +49,7 @@
 #include "farm/runlog.h"
 #include "farm/server.h"
 #include "obs/spans.h"
+#include "sched/scheduler.h"
 #include "uarch/config.h"
 
 namespace vtrans::farm {
@@ -159,9 +161,6 @@ class Farm
      */
     uint64_t submitChunked(const JobRequest& request,
                            const chunk::ChunkOptions& chunking);
-
-    /** Jobs submitted so far. */
-    size_t submitted() const;
 
     /**
      * Runs the farm to completion: characterizes, plans, executes every
@@ -300,7 +299,7 @@ class Farm
     RunLog log_;
     obs::SpanTracer tracer_;
 
-    mutable std::mutex submit_mu_;
+    std::mutex submit_mu_;
     std::vector<Job> intake_;
     uint64_t next_id_ = 1;
     bool drained_ = false;

@@ -3,23 +3,22 @@
  * Tests of the GOP-chunked distributed transcode path: split/stitch
  * round-trips, grouping- and worker-invariance of the stitched bytes,
  * IDR-set determinism, job-graph dependency semantics on the farm
- * (stitch-after-chunks, failure propagation, retries), and thread safety
- * of the blocked-job queue path.
+ * (stitch-after-chunks, failure propagation, retries) and in the job
+ * queue.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <mutex>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chunk/chunk.h"
 #include "codec/decoder.h"
 #include "codec/params.h"
-#include "core/parallel.h"
 #include "core/workload.h"
 #include "farm/farm.h"
 #include "farm/queue.h"
@@ -30,6 +29,7 @@ namespace vtrans {
 namespace {
 
 constexpr double kClipSeconds = 0.3; // 9 frames of "cat" at 29 fps.
+constexpr double kAnyTime = std::numeric_limits<double>::infinity();
 
 codec::EncoderParams
 targetParams()
@@ -38,20 +38,6 @@ targetParams()
     params.crf = 30;
     params.refs = 1;
     return params;
-}
-
-core::ChunkedOptions
-chunkedOptions(int chunk_frames, int max_chunks, int jobs = 1)
-{
-    core::ChunkedOptions options;
-    options.video = "cat";
-    options.seconds = kClipSeconds;
-    options.params = targetParams();
-    options.core = uarch::baselineConfig();
-    options.chunking.chunk_frames = chunk_frames;
-    options.chunking.max_chunks = max_chunks;
-    options.jobs = jobs;
-    return options;
 }
 
 /** A small all-baseline farm (no calibration work, cheap to drain). */
@@ -74,6 +60,70 @@ request(int retry_budget = 0)
     req.task = {"cat", 30, 1, "ultrafast"};
     req.retry_budget = retry_budget;
     return req;
+}
+
+/** Chunking at `chunk_frames` spacing, grouped into `max_chunks`. */
+chunk::ChunkOptions
+chunkOptions(int chunk_frames, int max_chunks = 0)
+{
+    chunk::ChunkOptions options;
+    options.chunk_frames = chunk_frames;
+    options.max_chunks = max_chunks;
+    return options;
+}
+
+/** Drains one chunked request on a fresh farm; returns its run log. */
+farm::RunLog
+drainChunked(const chunk::ChunkOptions& options, int workers = 1)
+{
+    farm::Farm farm(lightFarm(workers));
+    farm.submitChunked(request(), options);
+    return farm.drain();
+}
+
+/** The stitch record of a single-graph run log. */
+const farm::JobRecord&
+stitchRecord(const farm::RunLog& log)
+{
+    for (const farm::JobRecord& r : log.records()) {
+        if (r.kind == "stitch") {
+            return r;
+        }
+    }
+    ADD_FAILURE() << "run log holds no stitch record";
+    return log.records().front();
+}
+
+/**
+ * The farm's chunk path without the farm: split once, encode each chunk
+ * group as one instrumented run, stitch in chunk order. Returns the
+ * stitched bytes, which the farm's run log only fingerprints.
+ */
+std::vector<uint8_t>
+stitchDirect(const chunk::ChunkOptions& options)
+{
+    farm::Farm::warmupProcess();
+    const auto plan = core::cachedSplit("cat", kClipSeconds, targetParams(),
+                                        options);
+    std::vector<core::RunResult> runs;
+    for (const auto& [first, count] :
+         chunk::groupSegments(plan->segments.size(), options.max_chunks)) {
+        std::vector<const std::vector<uint8_t>*> slices;
+        for (int k = 0; k < count; ++k) {
+            slices.push_back(&plan->segments[first + k].source);
+        }
+        core::RunConfig cfg;
+        cfg.video = "cat";
+        cfg.seconds = kClipSeconds;
+        cfg.params = targetParams();
+        cfg.core = uarch::baselineConfig();
+        runs.push_back(core::runInstrumentedChunk(slices, cfg));
+    }
+    std::vector<const std::vector<uint8_t>*> outputs;
+    for (const core::RunResult& run : runs) {
+        outputs.push_back(&run.output);
+    }
+    return chunk::stitch(outputs);
 }
 
 TEST(ChunkSplit, BoundariesComeFromLookaheadAndCoverTheClip)
@@ -120,70 +170,78 @@ TEST(ChunkSplit, GroupingIsContiguousAndBalanced)
 
 TEST(ChunkedTranscode, StitchedBytesInvariantToChunkCount)
 {
+    const size_t segments =
+        core::cachedSplit("cat", kClipSeconds, targetParams(), chunkOptions(1))
+            ->segments.size();
     std::vector<uint64_t> fingerprints;
-    std::vector<size_t> sizes;
     for (int max_chunks : {1, 2, 4, 8}) {
-        const core::ChunkedResult result =
-            core::chunkedTranscode(chunkedOptions(1, max_chunks));
-        ASSERT_FALSE(result.stitched.empty());
-        EXPECT_EQ(result.chunks,
-                  std::min<size_t>(max_chunks, result.segments));
-
-        // Decoder round-trip of the stitched stream.
-        const codec::DecodeResult decoded = codec::decode(result.stitched);
-        EXPECT_EQ(static_cast<size_t>(decoded.frames.size()),
-                  static_cast<size_t>(9));
-        EXPECT_GT(result.psnr, 20.0);
-        EXPECT_GT(result.bitrate_kbps, 0.0);
-
-        fingerprints.push_back(result.stream_fingerprint);
-        sizes.push_back(result.stitched.size());
+        const farm::RunLog log = drainChunked(chunkOptions(1, max_chunks));
+        const farm::JobRecord& stitch = stitchRecord(log);
+        ASSERT_EQ(stitch.state, farm::JobState::Done);
+        EXPECT_EQ(static_cast<size_t>(stitch.chunk_count),
+                  std::min<size_t>(max_chunks, segments));
+        // The stitch job decodes its stream to measure quality.
+        EXPECT_GT(stitch.psnr, 20.0);
+        EXPECT_GT(stitch.bitrate_kbps, 0.0);
+        fingerprints.push_back(stitch.result_fingerprint);
     }
     for (size_t i = 1; i < fingerprints.size(); ++i) {
         EXPECT_EQ(fingerprints[i], fingerprints[0])
             << "chunk-count grouping changed the stitched bytes";
-        EXPECT_EQ(sizes[i], sizes[0]);
     }
 }
 
 TEST(ChunkedTranscode, StitchedBytesInvariantToWorkerCount)
 {
-    const core::ChunkedResult serial =
-        core::chunkedTranscode(chunkedOptions(1, 4, /*jobs=*/1));
-    const core::ChunkedResult parallel =
-        core::chunkedTranscode(chunkedOptions(1, 4, /*jobs=*/4));
-    ASSERT_EQ(serial.stitched.size(), parallel.stitched.size());
-    EXPECT_EQ(serial.stream_fingerprint, parallel.stream_fingerprint);
-    EXPECT_TRUE(serial.stitched == parallel.stitched);
+    const farm::RunLog serial = drainChunked(chunkOptions(1, 4), 1);
+    const farm::RunLog parallel = drainChunked(chunkOptions(1, 4), 4);
+    EXPECT_NE(stitchRecord(serial).result_fingerprint, 0u);
+    EXPECT_EQ(stitchRecord(serial).result_fingerprint,
+              stitchRecord(parallel).result_fingerprint);
 }
 
 TEST(ChunkedTranscode, IdrSetInvariantToChunkingAndSupersetOfPlan)
 {
-    const core::ChunkedResult two =
-        core::chunkedTranscode(chunkedOptions(3, 2));
-    const core::ChunkedResult four =
-        core::chunkedTranscode(chunkedOptions(3, 4));
-    const auto idr_two = chunk::iFrameDisplays(two.stitched);
-    const auto idr_four = chunk::iFrameDisplays(four.stitched);
+    const std::vector<uint8_t> two = stitchDirect(chunkOptions(3, 2));
+    const std::vector<uint8_t> four = stitchDirect(chunkOptions(3, 4));
+    EXPECT_EQ(codec::decode(two).frames.size(), 9u);
+    const auto idr_two = chunk::iFrameDisplays(two);
+    const auto idr_four = chunk::iFrameDisplays(four);
     EXPECT_EQ(idr_two, idr_four)
         << "chunk grouping changed the IDR placement";
 
-    const auto plan = core::cachedSplit(
-        "cat", kClipSeconds, targetParams(),
-        chunk::ChunkOptions{/*chunk_frames=*/3, /*max_chunks=*/0});
+    const auto plan =
+        core::cachedSplit("cat", kClipSeconds, targetParams(), chunkOptions(3));
     const std::set<int> idr_set(idr_two.begin(), idr_two.end());
     for (int boundary : plan->boundaries) {
         EXPECT_TRUE(idr_set.count(boundary) != 0)
             << "plan boundary " << boundary << " is not an IDR frame";
     }
+
+    // The farm stitches the same bytes as the direct path.
+    EXPECT_EQ(stitchRecord(drainChunked(chunkOptions(3, 2))).result_fingerprint,
+              chunk::streamFingerprint(two));
 }
 
 TEST(ChunkedTranscode, DisabledMatchesWholeVideoPathByteForByte)
 {
-    const core::ChunkedResult disabled =
-        core::chunkedTranscode(chunkedOptions(0, 0));
-    EXPECT_EQ(disabled.chunks, 1u);
-    EXPECT_DOUBLE_EQ(disabled.stitch_seconds, 0.0);
+    std::string logs[2];
+    uint64_t fingerprint = 0;
+    for (int i = 0; i < 2; ++i) {
+        farm::Farm farm(lightFarm(1));
+        if (i == 0) {
+            farm.submit(request());
+        } else {
+            farm.submitChunked(request(), chunkOptions(0));
+        }
+        const farm::RunLog& log = farm.drain();
+        ASSERT_EQ(log.records().size(), 1u);
+        EXPECT_EQ(log.records()[0].kind, "transcode");
+        fingerprint = log.records()[0].result_fingerprint;
+        logs[i] = log.toJsonl();
+    }
+    EXPECT_EQ(logs[0], logs[1])
+        << "disabled chunking must be byte-identical to a plain submit";
 
     farm::Farm::warmupProcess();
     core::RunConfig cfg;
@@ -191,21 +249,27 @@ TEST(ChunkedTranscode, DisabledMatchesWholeVideoPathByteForByte)
     cfg.seconds = kClipSeconds;
     cfg.params = targetParams();
     cfg.core = uarch::baselineConfig();
-    cfg.keep_output = true;
-    const core::RunResult whole = core::runInstrumented(cfg);
-    EXPECT_TRUE(disabled.stitched == whole.output)
-        << "disabled chunking must be byte-identical to the plain path";
+    EXPECT_EQ(fingerprint, farm::fingerprint(core::runInstrumented(cfg)))
+        << "the farm's plain job must match the plain instrumented run";
 }
 
 TEST(ChunkedTranscode, ReportsBoundaryCostAgainstUnchunked)
 {
-    core::ChunkedOptions options = chunkedOptions(3, 0);
-    options.compare_unchunked = true;
-    const core::ChunkedResult result = core::chunkedTranscode(options);
-    EXPECT_GT(result.psnr, 20.0);
+    const farm::RunLog log = drainChunked(chunkOptions(3));
+    const farm::JobRecord& stitch = stitchRecord(log);
+    EXPECT_GT(stitch.psnr, 20.0);
     // Closed-GOP chunk starts cost bits/quality but must stay sane.
-    EXPECT_LT(std::abs(result.delta_psnr_db), 10.0);
-    EXPECT_GT(result.total_sim_seconds, result.stitch_seconds);
+    EXPECT_TRUE(stitch.delta_psnr_db != 0.0
+                || stitch.delta_bitrate_kbps != 0.0)
+        << "no unchunked reference was measured";
+    EXPECT_LT(std::abs(stitch.delta_psnr_db), 10.0);
+    double chunk_seconds = 0.0;
+    for (const farm::JobRecord& r : log.records()) {
+        if (r.kind == "chunk") {
+            chunk_seconds += r.actual_seconds;
+        }
+    }
+    EXPECT_GT(chunk_seconds, stitch.actual_seconds);
 }
 
 TEST(JobQueue, DependenciesHoldJobsUntilEveryDepIsDone)
@@ -226,15 +290,15 @@ TEST(JobQueue, DependenciesHoldJobsUntilEveryDepIsDone)
 
     // The blocked job is invisible to pops and the matching window.
     EXPECT_EQ(q.peekWindow(10.0, 8).size(), 2u);
-    EXPECT_EQ(q.tryPop()->id, 1u);
-    EXPECT_EQ(q.tryPop()->id, 2u);
-    EXPECT_FALSE(q.tryPop().has_value());
-    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.tryPop(kAnyTime)->id, 1u);
+    EXPECT_EQ(q.tryPop(kAnyTime)->id, 2u);
+    EXPECT_FALSE(q.tryPop(kAnyTime).has_value());
+    EXPECT_FALSE(q.empty()) << "the blocked job must stay queued";
 
     q.markDone(1);
-    EXPECT_FALSE(q.tryPop().has_value());
+    EXPECT_FALSE(q.tryPop(kAnyTime).has_value());
     q.markDone(2);
-    EXPECT_EQ(q.tryPop()->id, 9u);
+    EXPECT_EQ(q.tryPop(kAnyTime)->id, 9u);
 }
 
 TEST(JobQueue, FailedDependencyMakesBlockedJobsCollectableAsDead)
@@ -249,56 +313,11 @@ TEST(JobQueue, FailedDependencyMakesBlockedJobsCollectableAsDead)
     q.markDone(1);
     EXPECT_TRUE(q.takeDead().empty());
     q.markFailed(2);
-    EXPECT_FALSE(q.tryPop().has_value());
+    EXPECT_FALSE(q.tryPop(kAnyTime).has_value());
     const auto dead = q.takeDead();
     ASSERT_EQ(dead.size(), 1u);
     EXPECT_EQ(dead[0].id, 9u);
     EXPECT_TRUE(q.empty());
-}
-
-TEST(JobQueue, BlockedPathIsThreadSafeUnderConcurrentPops)
-{
-    farm::JobQueue q(farm::QueuePolicy::Fifo, 64);
-    farm::Job stitch;
-    stitch.id = 99;
-    stitch.task = {"cat", 30, 1, "ultrafast"};
-    stitch.blocked_by = {1, 2, 3, 4};
-    ASSERT_TRUE(q.tryPush(stitch));
-    for (uint64_t id = 1; id <= 4; ++id) {
-        farm::Job job;
-        job.id = id;
-        job.task = stitch.task;
-        ASSERT_TRUE(q.tryPush(job));
-    }
-
-    std::mutex mu;
-    std::vector<uint64_t> order;
-    auto worker = [&] {
-        while (auto job = q.waitPop()) {
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                order.push_back(job->id);
-            }
-            q.markDone(job->id);
-        }
-    };
-    std::thread a(worker);
-    std::thread b(worker);
-    while (true) {
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            if (order.size() == 5) {
-                break;
-            }
-        }
-        std::this_thread::yield();
-    }
-    q.close();
-    a.join();
-    b.join();
-    ASSERT_EQ(order.size(), 5u);
-    EXPECT_EQ(order.back(), 99u)
-        << "the stitch job dispatched before all chunks completed";
 }
 
 TEST(JobKey, ChunkGeometryKeepsSignaturesDistinct)

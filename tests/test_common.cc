@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common utilities: deterministic RNG, tables, CSV,
- * heatmaps, stats, and the CLI parser.
+ * heatmaps, and the CLI parser.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include "common/cli.h"
 #include "common/heatmap.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/table.h"
 
 namespace vtrans {
@@ -139,26 +138,6 @@ TEST(Heatmap, MinMaxAndRender)
     EXPECT_NE(rendered.find('@'), std::string::npos); // max bucket shade
     const std::string csv = hm.toCsv();
     EXPECT_NE(csv.find("5.000000"), std::string::npos);
-}
-
-TEST(Stats, AddSetMerge)
-{
-    StatSet s;
-    s.add("x", 1.0);
-    s.add("x", 2.0);
-    s.set("y", 5.0);
-    EXPECT_DOUBLE_EQ(s.get("x"), 3.0);
-    EXPECT_DOUBLE_EQ(s.get("y"), 5.0);
-    EXPECT_DOUBLE_EQ(s.get("missing"), 0.0);
-    EXPECT_TRUE(s.has("x"));
-    EXPECT_FALSE(s.has("missing"));
-
-    StatSet t;
-    t.add("x", 10.0);
-    t.add("z", 1.0);
-    s.merge(t);
-    EXPECT_DOUBLE_EQ(s.get("x"), 13.0);
-    EXPECT_DOUBLE_EQ(s.get("z"), 1.0);
 }
 
 TEST(Cli, ParsesFlagsAndPositionals)

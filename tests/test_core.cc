@@ -9,6 +9,7 @@
 
 #include "core/studies.h"
 #include "core/workload.h"
+#include "tests/support/serial_studies.h"
 #include "uarch/config.h"
 
 namespace vtrans {

@@ -19,6 +19,7 @@
 #include "farm/farm.h"
 #include "farm/runlog.h"
 #include "obs/spans.h"
+#include "tests/support/serial_studies.h"
 #include "trace/probe.h"
 
 namespace vtrans::core {

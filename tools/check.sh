@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI-style smoke check: guard against process-wide run setters,
-# configure, build, run the full test suite,
+# configure, build, guard against shipped objects that no production
+# binary links, run the full test suite,
 # exercise the transcoding-farm service end to end (whole-video and
 # GOP-chunked job graphs), then rebuild the core-model, kernel, probe and
 # codec suites under AddressSanitizer+UBSan
@@ -36,6 +37,11 @@ cmake -B "$BUILD_DIR" -S .
 
 echo "== build =="
 cmake --build "$BUILD_DIR" -j
+
+echo "== dead-object guard: every shipped object has a production caller =="
+# A library object that no bench, example or tool binary links is code
+# only tests reach; test-only oracles belong under tests/support.
+tools/dead_objects.sh "$BUILD_DIR"
 
 echo "== tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
@@ -126,7 +132,8 @@ if [[ "${VTRANS_SKIP_PERF:-0}" != 1 ]]; then
     # --min-model-speedup gates the core model's event-driven
     # fast-forward against the instruction-stepped oracle
     # (tests/support/reference_core.h) in the same binary
-    # (machine-independent ratio, bit-identical CoreStats required). Run it on the block stream, which isolates
+    # (machine-independent ratio: the median of interleaved pairs,
+    # bit-identical CoreStats required). Run it on the block stream, which isolates
     # the dispatch/fetch fast path: the mixed stream spends most of its
     # time in the shared cache-hierarchy model, so its ratio saturates
     # near ~1.3 regardless of how fast the fast-forward itself gets.
@@ -136,7 +143,9 @@ if [[ "${VTRANS_SKIP_PERF:-0}" != 1 ]]; then
 
     echo "== kernel perf gate (Release) =="
     # Vector SAD/SATD must clearly beat the -O3 auto-vectorized scalar
-    # (exactness is re-checked on every measurement). The margin is
+    # (exactness is re-checked on every measurement). The speedup is the
+    # median of interleaved scalar/vector pairs, so host drift between
+    # the two arms cancels. The margin is
     # CPU-dependent: parts where the compiler auto-vectorizes the
     # scalar SAD well measure the hand-written PSADBW ladder at ~x1.6
     # (SATD stays >= x2.4 everywhere), so the gate sits at 1.5.
